@@ -15,7 +15,6 @@ reductions, and mean-squared error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,6 @@ def set_nan_guard(enabled: bool) -> bool:
     previous = _NAN_GUARD
     _NAN_GUARD = bool(enabled)
     return previous
-
-
-def nan_guard_enabled() -> bool:
-    return _NAN_GUARD
 
 
 class Tensor:
@@ -328,16 +323,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, (a,), vjp, "relu")
 
 
-_ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    try:
-        return _ACTIVATIONS[kind](a)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}, expected one of {sorted(_ACTIVATIONS)}") from None
-
-
 # -- reductions and losses ---------------------------------------------------
 
 
@@ -513,43 +498,6 @@ def max_pool1d(x: Tensor, kernel: int = 2, stride: int = 2) -> Tensor:
     return _node(out, (x,), vjp, "max_pool1d")
 
 
-def conv_bn_pool(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    *,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-    update_running: bool = True,
-) -> Tensor:
-    """Conv -> batch norm -> 2x max pool, the feature stack used by the
-    weight-integration head. Input (B, C_in, T) with T >= 2; output
-    (B, F, T // 2)."""
-    x = _lift(x)
-    if x.ndim != 3:
-        raise ShapeError(f"conv_bn_pool expects (B,C,T) input, got {x.shape}")
-    if x.shape[-1] < 2:
-        raise ShapeError(f"conv_bn_pool needs T >= 2, got T={x.shape[-1]}")
-    h = conv1d(x, weight, bias)
-    h = batch_norm(
-        h,
-        gamma,
-        beta,
-        running_mean,
-        running_var,
-        training=training,
-        momentum=momentum,
-        eps=eps,
-        update_running=update_running,
-    )
-    return max_pool1d(h, 2, 2)
-
-
 # -- backward pass ------------------------------------------------------------
 
 
@@ -665,11 +613,3 @@ def grad_check(f, point, step: float = 1e-5, tol: float = 1e-4) -> GradCheckRepo
                     rel, tol, i, np.unravel_index(j, t.shape), float(a), float(numeric)
                 )
     return worst
-
-
-def global_grad_norm(tensors) -> float:
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
-    return math.sqrt(total)

@@ -9,12 +9,15 @@ reproducibility guarantee relies on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"MLFCKPT1"
-FORMAT_VERSION = 1
+# Version 2: SPP heads carry a redundancy branch only where the forward pass
+# reads it, which changed the tensor set and the order of initial draws.
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -77,16 +80,25 @@ def load_checkpoint(path: str) -> Checkpoint:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupt header: not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
         payload = fh.read()
+    if not isinstance(header.get("tensors"), list):
+        raise CheckpointError(f"{path}: corrupt header: no tensor table")
     arrays = {}
     for spec in header["tensors"]:
-        start, nbytes = spec["offset"], spec["nbytes"]
+        try:
+            name, shape, start, nbytes = spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: {exc!r}") from None
+        if 8 * math.prod(shape) != nbytes:
+            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)} but {nbytes} bytes")
         if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated tensor data for {spec['name']}")
+            raise CheckpointError(f"{path}: truncated tensor data for {name}")
         flat = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
-        arrays[spec["name"]] = flat.reshape(spec["shape"]).copy()
+        arrays[name] = flat.reshape(shape).copy()
     return Checkpoint(
         config=header["config"],
         arrays=arrays,

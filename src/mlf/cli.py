@@ -272,7 +272,7 @@ def cmd_eval(args) -> int:
     if args.export_attention is not None:
         if result.attention_mean is None:
             raise CliError("usage", "attention export requires a model with attention enabled")
-        np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.10g")
+        np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.17g")
         sidecar = {
             "token_ranges": [
                 {"period_length": n, "start": a, "end": b}
@@ -285,7 +285,7 @@ def cmd_eval(args) -> int:
     if args.export_weights is not None:
         if result.att_mean is None:
             raise CliError("usage", "weight export requires the learned-integration head")
-        np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.10g")
+        np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.17g")
         print(f"integration weights: {args.export_weights}")
     return 0
 
@@ -310,17 +310,13 @@ def cmd_forecast(args) -> int:
         for n in cfg.period_lengths
     ]
     bundle = model.forward(windows, training=False)
-    preds = bundle.forecast.data  # (C, m) normalized
-    rows = []
-    for h in range(cfg.horizon):
-        row = [ds.denormalize(preds[c, h : h + 1], c)[0] for c in range(ds.n_channels)]
-        rows.append(row)
+    rows = ds.norm.invert(bundle.forecast.data, np.arange(ds.n_channels)).T  # (m, C)
     out = args.output or "forecast.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step"] + list(ds.channel_names))
         for h, row in enumerate(rows, start=1):
-            writer.writerow([h] + [f"{v:.10g}" for v in row])
+            writer.writerow([h] + [repr(float(v)) for v in row])
     print(f"forecast ({cfg.horizon} steps x {ds.n_channels} channels): {out}")
     return 0
 

@@ -30,8 +30,17 @@ class Normalization:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
+    def invert(self, values: np.ndarray, channels: np.ndarray) -> np.ndarray:
+        """Map (n, m) model-space rows back to original units; row i belongs
+        to channel channels[i]."""
+        channels = np.asarray(channels)
+        n_channels = self.mean.size
+        if channels.size and (channels.min() < 0 or channels.max() >= n_channels):
+            raise DataError(
+                f"unknown channel index: rows name channels {channels.min()}..{channels.max()}, "
+                f"normalization has {n_channels}"
+            )
+        return values * self.std[channels][:, None] + self.mean[channels][:, None]
 
 
 @dataclass
@@ -49,14 +58,6 @@ class SeriesDataset:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    def denormalize(self, values: np.ndarray, channel: int) -> np.ndarray:
-        """Map model-space values of one channel back to original units."""
-        if self.norm is None:
-            raise DataError("dataset has no normalization statistics")
-        if not 0 <= channel < self.n_channels:
-            raise DataError(f"unknown channel index {channel} (dataset has {self.n_channels})")
-        return values * self.norm.std[channel] + self.norm.mean[channel]
 
 
 @dataclass(frozen=True)

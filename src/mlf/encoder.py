@@ -2,11 +2,15 @@
 per-period heads, and cross-period redundancy subtraction.
 
 Each block attends over the concatenation of every period's squeezed tokens,
-then processes each period block separately: a two-branch linear head emits
-that period's forecast and an estimate of the information it duplicates into
-longer periods. The estimate, scaled by 1/sqrt(d_k), is subtracted from all
-longer periods' blocks before the next encoder block, so stacking blocks
-filters the overlap progressively.
+then processes each period block separately: a linear head emits that
+period's forecast and, through a second branch, an estimate of the
+information it duplicates into longer periods. The estimate, scaled by
+1/sqrt(d_k), is subtracted from all longer periods' blocks before the next
+encoder block, so stacking blocks filters the overlap progressively.
+
+Only estimates that a later block reads get a redundancy branch: the heads of
+every block but the last, for every period but the longest. The longest
+period has no longer period to filter, and nothing follows the last block.
 """
 
 from __future__ import annotations
@@ -69,33 +73,45 @@ class EncoderBlock:
 
 
 class SppHead:
-    """Single-period processing: forecast branch + redundancy branch.
+    """Single-period processing: forecast branch + optional redundancy branch.
 
     Both branches are linear maps over the flattened (D * N_block) period
     block; the redundancy output is reshaped back to block shape so it can
-    be subtracted from longer periods.
+    be subtracted from longer periods. A head built without the redundancy
+    branch returns None in its place.
     """
 
-    def __init__(self, store: ParamStore, name: str, d_model: int, block_tokens: int, horizon: int):
+    def __init__(
+        self,
+        store: ParamStore,
+        name: str,
+        d_model: int,
+        block_tokens: int,
+        horizon: int,
+        redundancy: bool = True,
+    ):
         self.d_model = d_model
         self.block_tokens = block_tokens
         flat = d_model * block_tokens
         self.forecast = Linear(store, f"{name}.forecast", flat, horizon)
-        self.redundancy = Linear(store, f"{name}.redundancy", flat, flat)
+        self.redundancy = Linear(store, f"{name}.redundancy", flat, flat) if redundancy else None
 
-    def __call__(self, block: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, block: Tensor) -> tuple[Tensor, Tensor | None]:
         batch = block.shape[0]
         flat = reshape(block, (batch, self.d_model * self.block_tokens))
         forecast = self.forecast(flat)
+        if self.redundancy is None:
+            return forecast, None
         eps = reshape(self.redundancy(flat), (batch, self.d_model, self.block_tokens))
         return forecast, eps
 
 
-def irf_filter(blocks: list[Tensor], epsilons: list[Tensor], d_k: int) -> list[Tensor]:
+def irf_filter(blocks: list[Tensor], epsilons: list[Tensor | None], d_k: int) -> list[Tensor]:
     """Subtract every shorter period's scaled redundancy estimate.
 
     blocks are ordered shortest to longest; block s loses
-    sum_{j<s} eps_j / sqrt(d_k), so the shortest passes through untouched.
+    sum_{j<s} eps_j / sqrt(d_k), so the shortest passes through untouched
+    and the longest period's estimate (which may be None) is never read.
     When token counts differ (fixed-geometry ablation) the shorter estimate
     covers only its own token span and the remainder is left as is.
     """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, conv_bn_pool, mul, narrow, reshape, sigmoid, tanh, transpose
+from .autograd import Tensor, conv1d, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
 from .layers import BatchNorm, Linear, ParamStore
 
 
@@ -52,20 +52,8 @@ class WeightIntegrator:
         """(B, n_S) longest windows -> flattened pooled conv features."""
         batch = window.shape[0]
         x = reshape(window, (batch, 1, self.window_len))
-        pooled = conv_bn_pool(
-            x,
-            self.conv_w,
-            self.conv_b,
-            self.norm.gamma,
-            self.norm.beta,
-            self.norm.running_mean,
-            self.norm.running_var,
-            training=training,
-            momentum=self.norm.momentum,
-            eps=self.norm.eps,
-            update_running=update_running,
-        )
-        return reshape(pooled, (batch, self.feature_len))
+        h = self.norm(conv1d(x, self.conv_w, self.conv_b), training=training, update_running=update_running)
+        return reshape(max_pool1d(h), (batch, self.feature_len))
 
     def weights(self, features: Tensor) -> Tensor:
         """Gated weights in (0, 1), shaped (B, S, m).

@@ -163,7 +163,7 @@ class ForecastBundle:
     token_ranges: list[tuple[int, int]]  # per-period token spans
     attention_scores: list[np.ndarray] | None = None  # E x (H, B, N, N)
     block_inputs: list[np.ndarray] | None = None  # E x (B, D, N)
-    filtered_tokens: list[np.ndarray] | None = None  # E x (B, D, N)
+    filtered_tokens: list[np.ndarray] | None = None  # (E - 1) x (B, D, N)
 
 
 @dataclass
@@ -188,7 +188,10 @@ class MlfModel:
 
     Parameters for every stage are created regardless of ablation flags
     (flags only reroute the forward pass), so variants with equal shapes
-    start from identical weights under the same seed.
+    start from identical weights under the same seed. SPP heads carry a
+    redundancy branch only where the base forward pass reads it: in blocks
+    before the last, for periods shorter than the longest, whose estimates
+    filter the next block's input.
     """
 
     def __init__(self, config: MlfConfig, rng: np.random.Generator):
@@ -235,7 +238,14 @@ class MlfModel:
         ]
         self.spp_heads = [
             [
-                SppHead(store, f"block{e}.spp.p{s}", cfg.d_model, g.n_squeezed, cfg.horizon)
+                SppHead(
+                    store,
+                    f"block{e}.spp.p{s}",
+                    cfg.d_model,
+                    g.n_squeezed,
+                    cfg.horizon,
+                    redundancy=e < cfg.n_blocks - 1 and s < cfg.n_periods - 1,
+                )
                 for s, g in enumerate(self.geometries)
             ]
             for e in range(cfg.n_blocks)
@@ -347,8 +357,9 @@ class MlfModel:
                 forecasts.append(f)
                 epsilons.append(eps)
             block_forecasts.append(forecasts)
-            filtered = irf_filter(period_blocks, epsilons, cfg.d_k) if cfg.use_irf else period_blocks
-            tokens = concat_periods(filtered)
+            if e == cfg.n_blocks - 1:
+                break  # no later block reads the filtered tokens
+            tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
             if collect_diagnostics:
                 filtered_trace.append(tokens.data.copy())
 

@@ -119,7 +119,7 @@ def write_csv(ds: SeriesDataset, path: str) -> None:
         writer.writerow(["date"] + list(ds.channel_names))
         stamps = ds.timestamps or [str(i) for i in range(ds.n_steps)]
         for i in range(ds.n_steps):
-            writer.writerow([stamps[i]] + [f"{v:.10g}" for v in ds.values[i]])
+            writer.writerow([stamps[i]] + [repr(float(v)) for v in ds.values[i]])
 
 
 def _wrap(values: np.ndarray, prefix: str) -> SeriesDataset:

@@ -211,8 +211,10 @@ def evaluate(
                 attn_sum += scores.sum(axis=(0, 1))
                 attn_count += scores.shape[0] * scores.shape[1]
 
-    preds_orig = _denormalize_rows(ds, preds, channels)
-    targets_orig = _denormalize_rows(ds, targets, channels)
+    if ds.norm is None:
+        preds_orig, targets_orig = preds, targets
+    else:
+        preds_orig, targets_orig = ds.norm.invert(preds, channels), ds.norm.invert(targets, channels)
     report_norm = compute_metrics(preds, targets, units="normalized")
     report_orig = compute_metrics(
         preds_orig,
@@ -238,11 +240,3 @@ def evaluate(
         attention_mean=attn_sum / attn_count if attn_count else None,
         token_ranges=model.token_ranges,
     )
-
-
-def _denormalize_rows(ds: SeriesDataset, values: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    if ds.norm is None:
-        return values.copy()
-    std = ds.norm.std[channels][:, None]
-    mean = ds.norm.mean[channels][:, None]
-    return values * std + mean

@@ -8,12 +8,10 @@ from mlf.autograd import (
     NumericsError,
     ShapeError,
     Tensor,
-    activation,
     backward,
     batch_norm,
     concat,
     conv1d,
-    conv_bn_pool,
     grad_check,
     matmul,
     max_pool1d,
@@ -134,11 +132,6 @@ def test_relu_masks_negatives():
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
-def test_activation_unknown_kind():
-    with pytest.raises(ValueError, match="unknown activation"):
-        activation(Tensor([0.0]), "gelu")
-
-
 # -- conv / batch norm / max pool ------------------------------------------
 
 
@@ -161,26 +154,18 @@ def test_max_pool_hand_case():
     assert np.array_equal(out.data, [[[-2.0, 3.0]]])
 
 
-def test_conv_bn_pool_shape_and_degenerate_input():
+def test_conv_norm_pool_shape_and_degenerate_input():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((2, 1, 10)))
     w = Tensor(rng.standard_normal((4, 1, 3)))
     b = Tensor(rng.standard_normal(4))
-    out = conv_bn_pool(
-        x, w, b, Tensor(np.ones(4)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), training=True
-    )
-    assert out.shape == (2, 4, 5)
+
+    def stack(x):
+        gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        return max_pool1d(batch_norm(conv1d(x, w, b), gamma, beta, np.zeros(4), np.ones(4), training=True))
+
+    assert stack(Tensor(rng.standard_normal((2, 1, 10)))).shape == (2, 4, 5)
     with pytest.raises(ShapeError, match="T >= 2"):
-        conv_bn_pool(
-            Tensor(np.zeros((1, 1, 1))),
-            w,
-            b,
-            Tensor(np.ones(4)),
-            Tensor(np.zeros(4)),
-            np.zeros(4),
-            np.ones(4),
-            training=True,
-        )
+        stack(Tensor(np.zeros((1, 1, 1))))
 
 
 def test_batch_norm_updates_running_stats():

@@ -1,11 +1,14 @@
 """Checkpoint container: exact round trips and deterministic bytes."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlf.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from mlf import cli
+from mlf.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from mlf.model import build_model
 
 
@@ -52,6 +55,44 @@ def test_truncated_file_rejected(tmp_path):
     open(path, "wb").write(blob[:-16])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a saved checkpoint's JSON header, keeping the payload."""
+    blob = Path(path).read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + blob[end:])
+
+
+def test_header_without_tensor_table_rejected(tmp_path):
+    path = str(tmp_path / "notable.ckpt")
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda h: h.pop("tensors"))
+    with pytest.raises(CheckpointError, match="no tensor table"):
+        load_checkpoint(path)
+
+
+def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
+    path = str(tmp_path / "badshape.ckpt")
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda h: h["tensors"][0].update(shape=[5, 5]))
+    with pytest.raises(CheckpointError, match=r"shape \[5, 5\] but 32 bytes"):
+        load_checkpoint(path)
+
+
+def test_format_version_1_fails_with_one_checkpoint_error_line(tmp_path, capsys):
+    path = str(tmp_path / "v1.ckpt")
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda h: h.update(format_version=1))
+    code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[checkpoint]:") and "format version 1" in err
+    assert err.count("\n") == 1
 
 
 def test_model_state_round_trip(tiny_config, tmp_path):

@@ -62,6 +62,11 @@ def test_synth_data_writes_csv(tmp_path, capsys):
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["date", "regime_0", "regime_1"]
     assert len(rows) == 51
+    from mlf.data import load_csv
+    from mlf.synth import generate
+
+    # Values read back exactly.
+    assert np.array_equal(load_csv(str(out)).values, generate("regime-switch", 50, 2, 1).values)
 
 
 def test_train_produces_artifacts(trained):
@@ -147,6 +152,15 @@ def test_forecast_rows_match_horizon(trained, tmp_path, capsys):
     rows = list(csv.reader(open(out_csv)))
     assert len(rows) == 1 + 2  # header + horizon steps
     assert rows[0][0] == "step"
+    # The written values are the model's denormalized forecast, exactly.
+    from mlf.data import load_csv
+
+    ckpt = load_checkpoint(str(out_dir / "checkpoint.mlfckpt"))
+    model = cli.restore_model(ckpt)
+    ds = cli.apply_checkpoint_norm(load_csv(str(hist_csv)), ckpt)
+    windows = [ds.values[-n:].T.copy() for n in model.config.period_lengths]
+    pred = ds.norm.invert(model.forward(windows, training=False).forecast.data, np.arange(ds.n_channels))
+    assert np.array_equal(np.array([[float(v) for v in row[1:]] for row in rows[1:]]), pred.T)
 
 
 def test_forecast_rejects_short_history(trained, tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_standardize_round_trip():
     ds = seasonal_multichannel(120, 2, seed=3)
     split = split_dataset(ds, "ratio")
     norm = standardize(ds, split)
-    restored = norm.norm.invert(norm.values)
+    restored = norm.norm.invert(norm.values.T, np.arange(ds.n_channels)).T
     assert np.max(np.abs(restored - ds.values)) <= 1e-12
 
 
@@ -151,10 +151,11 @@ def test_denormalize_examples():
     split = split_dataset(ds, "ratio")
     norm = standardize(ds, split)
     mu, sigma = norm.norm.mean[0], norm.norm.std[0]
-    assert norm.denormalize(np.array([0.0]), 0)[0] == pytest.approx(mu)
-    assert norm.denormalize(np.array([1.0]), 0)[0] == pytest.approx(mu + sigma)
+    rows = norm.norm.invert(np.array([[0.0], [1.0]]), np.array([0, 0]))
+    assert rows[0, 0] == pytest.approx(mu)
+    assert rows[1, 0] == pytest.approx(mu + sigma)
     with pytest.raises(DataError, match="unknown channel"):
-        norm.denormalize(np.array([0.0]), 3)
+        norm.norm.invert(np.array([[0.0]]), np.array([3]))
 
 
 # -- window sampling ------------------------------------------------------------------

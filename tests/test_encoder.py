@@ -64,6 +64,11 @@ def test_spp_output_shapes():
     f, eps = head(Tensor(np.random.default_rng(4).standard_normal((2, 4, 3))))
     assert f.shape == (2, 5)
     assert eps.shape == (2, 4, 3)
+    st = store()
+    bare = SppHead(st, "h", 4, 3, 5, redundancy=False)
+    f, eps = bare(Tensor(np.random.default_rng(4).standard_normal((2, 4, 3))))
+    assert f.shape == (2, 5) and eps is None
+    assert sorted(st.params) == ["h.forecast.b", "h.forecast.w"]
 
 
 def test_spp_zero_weights_zero_outputs():
@@ -112,9 +117,10 @@ def test_irf_shortest_period_passes_through():
 
 
 def test_irf_scalar_example():
-    # z2 = 1, eps1 = 2, d_k = 4 -> filtered z2 = 1 - 2/2 = 0.
+    # z2 = 1, eps1 = 2, d_k = 4 -> filtered z2 = 1 - 2/2 = 0. The longest
+    # period has no redundancy branch, so its slot is None.
     blocks = [Tensor(np.full((1, 1, 1), 5.0)), Tensor(np.ones((1, 1, 1)))]
-    eps = [Tensor(np.full((1, 1, 1), 2.0)), Tensor(np.zeros((1, 1, 1)))]
+    eps = [Tensor(np.full((1, 1, 1), 2.0)), None]
     out = irf_filter(blocks, eps, d_k=4)
     assert out[1].data.reshape(()) == pytest.approx(0.0)
 
@@ -191,7 +197,9 @@ def test_stacking_contract_blocks_consume_filtered_tokens():
     rng = np.random.default_rng(12)
     windows = [rng.standard_normal((2, n)) for n in TOY.period_lengths]
     bundle = model.forward(windows, training=False, collect_diagnostics=True)
-    # Block e+1's input is exactly block e's re-concatenated filtered output.
+    # Block e+1's input is exactly block e's re-concatenated filtered output;
+    # nothing reads a filtered output of the last block, so none is made.
+    assert len(bundle.filtered_tokens) == TOY.n_blocks - 1
     assert np.array_equal(bundle.block_inputs[1], bundle.filtered_tokens[0])
     # And filtering actually changed the tokens between blocks.
     assert not np.allclose(bundle.block_inputs[1], bundle.block_inputs[0])

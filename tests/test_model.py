@@ -1,10 +1,14 @@
 """Config validation, forward-pass contracts, loss decomposition, ablations."""
 
+from dataclasses import replace
+from fnmatch import fnmatch
+
 import numpy as np
 import pytest
 
-from mlf.autograd import ShapeError
+from mlf.autograd import ShapeError, backward
 from mlf.model import (
+    ABLATION_FLAGS,
     ConfigError,
     MlfConfig,
     apply_ablation,
@@ -237,6 +241,43 @@ def test_no_map_variant_runs_with_uneven_patch_counts():
     assert bundle.forecast.shape == (3, 2)
     sizes = [b - a for a, b in bundle.token_ranges]
     assert sizes == [1, 2, 4]
+
+
+# -- gradient coverage -------------------------------------------------------------
+
+# Parameters an ablation leaves without a gradient, as name patterns; the base
+# config leaves none. The adaptive-patching ablation needs periods >= 8.
+NO_GRADIENT = {
+    None: (),
+    "irf": ("*.redundancy.*",),
+    "lwi": ("lwi.*",),
+    "map": (),
+    "ma": ("block?.head*", "block?.wo", "block?.bn_*", "block?.ff_*"),
+    "reconstruction_loss": ("squeeze.dec.*",),
+}
+
+
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
+def test_one_step_gradient_coverage(flag):
+    cfg = replace(TOY, period_lengths=(8, 16)) if flag == "map" else TOY
+    if flag is not None:
+        cfg = apply_ablation(cfg, flag)
+    model = build_model(cfg, seed=0)
+    bundle = model.forward(toy_windows(3, 0, cfg), training=True)
+    target = np.random.default_rng(1).standard_normal((3, cfg.horizon))
+    backward(mlf_loss(bundle, target, use_reconstruction=cfg.use_reconstruction_loss).total)
+    without = {name for name, p in model.params.items() if p.grad is None}
+    expected = {name for name in model.params if any(fnmatch(name, pat) for pat in NO_GRADIENT[flag])}
+    assert without == expected
+    assert bool(expected) == bool(NO_GRADIENT[flag])
+
+
+def test_paper_default_parameter_count():
+    model = build_model(MlfConfig(period_lengths=(96, 192, 336), horizon=24), seed=0)
+    assert len(model.params) == 129
+    assert sum(p.size for p in model.params.values()) == 1_690_210
+    redundancy = sorted({name.rsplit(".", 2)[0] for name in model.params if ".redundancy." in name})
+    assert redundancy == ["block0.spp.p0", "block0.spp.p1", "block1.spp.p0", "block1.spp.p1"]
 
 
 # -- seeding ---------------------------------------------------------------------
