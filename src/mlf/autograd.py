@@ -418,13 +418,12 @@ def batch_norm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
-    update_running: bool = True,
 ) -> Tensor:
     """Batch normalization of (B, C, T) over the batch and position axes.
 
-    Training mode normalizes with batch statistics and (optionally) updates
-    the running estimates in place; inference mode uses the running
-    estimates. gamma/beta have shape (C,).
+    Training mode normalizes with batch statistics and updates the running
+    estimates in place; inference mode uses the running estimates.
+    gamma/beta have shape (C,).
     """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.ndim != 3:
@@ -439,14 +438,13 @@ def batch_norm(
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         m = x.shape[0] * x.shape[2]
-        if update_running:
-            # Running variance uses the unbiased estimate, matching the
-            # usual deep-learning convention.
-            unbiased = var * (m / (m - 1)) if m > 1 else var
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
+        # Running variance uses the unbiased estimate, matching the usual
+        # deep-learning convention.
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
 

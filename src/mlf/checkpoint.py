@@ -17,7 +17,9 @@ import numpy as np
 MAGIC = b"MLFCKPT1"
 # Version 2: SPP heads carry a redundancy branch only where the forward pass
 # reads it, which changed the tensor set and the order of initial draws.
-FORMAT_VERSION = 2
+# Version 3: each block stores Q, K and V as one stacked (H, D, d_k) tensor
+# (block{e}.wq|wk|wv) instead of one tensor per head; the values are unchanged.
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):

@@ -239,6 +239,9 @@ def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:
             "shape",
             f"checkpoint was trained on {mean.size} channels but dataset has {ds.n_channels}",
         )
+    trained_on = ckpt.normalization.get("channels")
+    if trained_on != list(ds.channel_names):
+        raise DataError(f"dataset channels {list(ds.channel_names)} do not match the checkpoint's {trained_on}")
     norm = Normalization(mean, std)
     return replace(ds, values=norm.apply(ds.values), norm=norm)
 

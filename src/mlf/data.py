@@ -8,6 +8,7 @@ right-aligned history windows plus its forecast target.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -121,11 +122,15 @@ def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset
             parsed = []
             for col_idx, cell in enumerate(row[1:], start=2):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric value {cell!r} at row {row_idx}, column {col_idx}"
                     ) from None
+                if not math.isfinite(value):
+                    column = f"column {col_idx} ({header[col_idx - 1]})"
+                    raise DataError(f"{path}: non-finite value {cell!r} at row {row_idx}, {column}")
+                parsed.append(value)
             rows.append(parsed)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")

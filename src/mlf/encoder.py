@@ -1,6 +1,10 @@
 """Encoder blocks: multi-head attention over the pooled period tokens,
 per-period heads, and cross-period redundancy subtraction.
 
+Attention runs every head in one batched pass (arXiv 1706.03762): Q, K and V
+are each one stacked (H, D, d_k) parameter, so a block has one softmax and a
+fixed number of tape nodes whatever the head count.
+
 Each block attends over the concatenation of every period's squeezed tokens,
 then processes each period block separately: a linear head emits that
 period's forecast and, through a second branch, an estimate of the
@@ -24,7 +28,10 @@ from .layers import BatchNorm, ChannelLinear, Linear, ParamStore
 class EncoderBlock:
     """Multi-head self-attention + batch norm + feed-forward, residual style.
 
-    Input and output are (B, D, N_tok). Scores are row-stochastic per head.
+    Input and output are (B, D, N_tok). Q, K and V are each one (H, D, d_k)
+    parameter whose slice h is head h's projection; all heads run in one
+    pass as a (D, D) channel-first projection split into (B, H, d_k, N).
+    Scores are row-stochastic per head.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int, d_ff: int):
@@ -34,42 +41,35 @@ class EncoderBlock:
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
         bound = 1.0 / np.sqrt(d_model)
-        self.w_q = [store.uniform(f"{name}.head{h}.wq", (d_model, self.d_k), bound) for h in range(n_heads)]
-        self.w_k = [store.uniform(f"{name}.head{h}.wk", (d_model, self.d_k), bound) for h in range(n_heads)]
-        self.w_v = [store.uniform(f"{name}.head{h}.wv", (d_model, self.d_k), bound) for h in range(n_heads)]
+        stacked = (n_heads, d_model, self.d_k)
+        self.w_q = store.uniform(f"{name}.wq", stacked, bound)
+        self.w_k = store.uniform(f"{name}.wk", stacked, bound)
+        self.w_v = store.uniform(f"{name}.wv", stacked, bound)
         self.w_out = store.uniform(f"{name}.wo", (d_model, d_model), bound)
         self.norm_attn = BatchNorm(store, f"{name}.bn_attn", d_model)
         self.ff_in = ChannelLinear(store, f"{name}.ff_in", d_model, d_ff)
         self.ff_out = ChannelLinear(store, f"{name}.ff_out", d_ff, d_model)
         self.norm_ff = BatchNorm(store, f"{name}.bn_ff", d_model)
 
+    def _heads(self, w: Tensor, x: Tensor) -> Tensor:
+        """(B, D, N) -> (B, H, d_k, N); row h * d_k + j of the (D, D) view is w[h][:, j]."""
+        batch, _, n_tok = x.shape
+        proj = matmul(reshape(transpose(w), (self.d_model, self.d_model)), x)
+        return reshape(proj, (batch, self.n_heads, self.d_k, n_tok))
+
     def __call__(
-        self,
-        x: Tensor,
-        *,
-        training: bool,
-        update_running: bool = True,
-        collect_scores: bool = False,
+        self, x: Tensor, *, training: bool, collect_scores: bool = False
     ) -> tuple[Tensor, np.ndarray | None]:
         """Returns (z, scores); scores is (H, B, N, N) when collected."""
-        tokens = transpose(x)  # (B, N, D)
+        batch, _, n_tok = x.shape
+        q, k, v = (self._heads(w, x) for w in (self.w_q, self.w_k, self.w_v))
         scale = 1.0 / np.sqrt(self.d_k)
-        heads = []
-        collected = []
-        for h in range(self.n_heads):
-            q = matmul(tokens, self.w_q[h])  # (B, N, d_k)
-            k = matmul(tokens, self.w_k[h])
-            v = matmul(tokens, self.w_v[h])
-            scores = softmax(scale * matmul(q, transpose(k)), axis=-1)  # (B, N, N)
-            if collect_scores:
-                collected.append(scores.data)
-            heads.append(matmul(scores, v))
-        merged = matmul(concat(heads, axis=-1), self.w_out)  # (B, N, D)
-        u = self.norm_attn(add(x, transpose(merged)), training=training, update_running=update_running)
+        scores = softmax(scale * matmul(transpose(q), k), axis=-1)  # (B, H, N, N)
+        merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
+        u = self.norm_attn(add(x, matmul(transpose(self.w_out), merged)), training=training)
         f = self.ff_out(relu(self.ff_in(u)))
-        z = self.norm_ff(add(u, f), training=training, update_running=update_running)
-        score_stack = np.stack(collected) if collect_scores else None
-        return z, score_stack
+        z = self.norm_ff(add(u, f), training=training)
+        return z, scores.data.swapaxes(0, 1) if collect_scores else None
 
 
 class SppHead:

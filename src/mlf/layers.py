@@ -84,7 +84,7 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, *, training: bool, update_running: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, *, training: bool) -> Tensor:
         return batch_norm(
             x,
             self.gamma,
@@ -94,5 +94,4 @@ class BatchNorm:
             training=training,
             momentum=self.momentum,
             eps=self.eps,
-            update_running=update_running,
         )

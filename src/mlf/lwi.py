@@ -48,11 +48,11 @@ class WeightIntegrator:
         self.theta2 = store.uniform(f"{name}.theta2", (out, self.feature_len), fb)
         self.bias2 = store.uniform(f"{name}.bias2", (out,), fb)
 
-    def features(self, window: Tensor, *, training: bool, update_running: bool = True) -> Tensor:
+    def features(self, window: Tensor, *, training: bool) -> Tensor:
         """(B, n_S) longest windows -> flattened pooled conv features."""
         batch = window.shape[0]
         x = reshape(window, (batch, 1, self.window_len))
-        h = self.norm(conv1d(x, self.conv_w, self.conv_b), training=training, update_running=update_running)
+        h = self.norm(conv1d(x, self.conv_w, self.conv_b), training=training)
         return reshape(max_pool1d(h), (batch, self.feature_len))
 
     def weights(self, features: Tensor) -> Tensor:
@@ -67,8 +67,8 @@ class WeightIntegrator:
         gated = sigmoid(mul(a, b))
         return reshape(gated, (batch, self.n_periods, self.horizon))
 
-    def __call__(self, window: Tensor, *, training: bool, update_running: bool = True) -> Tensor:
-        return self.weights(self.features(window, training=training, update_running=update_running))
+    def __call__(self, window: Tensor, *, training: bool) -> Tensor:
+        return self.weights(self.features(window, training=training))
 
 
 def integrate(period_forecasts: list[Tensor], att: Tensor) -> Tensor:

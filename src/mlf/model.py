@@ -162,8 +162,6 @@ class ForecastBundle:
     raw_patches: list[Tensor]  # S x (B, L_s, N_s) constants
     token_ranges: list[tuple[int, int]]  # per-period token spans
     attention_scores: list[np.ndarray] | None = None  # E x (H, B, N, N)
-    block_inputs: list[np.ndarray] | None = None  # E x (B, D, N)
-    filtered_tokens: list[np.ndarray] | None = None  # (E - 1) x (B, D, N)
 
 
 @dataclass
@@ -191,7 +189,8 @@ class MlfModel:
     start from identical weights under the same seed. SPP heads carry a
     redundancy branch only where the base forward pass reads it: in blocks
     before the last, for periods shorter than the longest, whose estimates
-    filter the next block's input.
+    filter the next block's input. Each block's attention is four tensors:
+    per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
     """
 
     def __init__(self, config: MlfConfig, rng: np.random.Generator):
@@ -305,12 +304,11 @@ class MlfModel:
         windows: list[np.ndarray],
         *,
         training: bool,
-        update_running: bool | None = None,
         collect_diagnostics: bool = False,
     ) -> ForecastBundle:
+        """Training mode normalizes with batch statistics and updates the running
+        estimates; collect_diagnostics keeps each block's attention scores."""
         cfg = self.config
-        if update_running is None:
-            update_running = training
         if len(windows) != cfg.n_periods:
             raise ShapeError(f"expected {cfg.n_periods} period windows, got {len(windows)}")
         batch = windows[0].shape[0]
@@ -332,19 +330,10 @@ class MlfModel:
         tokens = concat_periods(squeezed)  # (B, D, N_tok)
         block_forecasts: list[list[Tensor]] = []
         attention_scores: list[np.ndarray] | None = [] if collect_diagnostics else None
-        block_inputs: list[np.ndarray] | None = [] if collect_diagnostics else None
-        filtered_trace: list[np.ndarray] | None = [] if collect_diagnostics else None
 
         for e, block in enumerate(self.blocks):
-            if collect_diagnostics:
-                block_inputs.append(tokens.data.copy())
             if cfg.use_attention:
-                z, scores = block(
-                    tokens,
-                    training=training,
-                    update_running=update_running,
-                    collect_scores=collect_diagnostics,
-                )
+                z, scores = block(tokens, training=training, collect_scores=collect_diagnostics)
                 if collect_diagnostics:
                     attention_scores.append(scores)
             else:
@@ -360,14 +349,12 @@ class MlfModel:
             if e == cfg.n_blocks - 1:
                 break  # no later block reads the filtered tokens
             tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
-            if collect_diagnostics:
-                filtered_trace.append(tokens.data.copy())
 
         period_forecasts = aggregate_block_forecasts(block_forecasts)
         att = None
         if cfg.use_lwi:
             longest = Tensor(windows[-1])
-            att = self.integrator(longest, training=training, update_running=update_running)
+            att = self.integrator(longest, training=training)
             forecast = integrate(period_forecasts, att)
         else:
             forecast = integrate_plain(period_forecasts)
@@ -381,8 +368,6 @@ class MlfModel:
             raw_patches=raw_patches,
             token_ranges=self.token_ranges,
             attention_scores=attention_scores,
-            block_inputs=block_inputs,
-            filtered_tokens=filtered_trace,
         )
 
 

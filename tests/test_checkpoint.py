@@ -37,7 +37,7 @@ def test_same_state_gives_identical_bytes(tmp_path):
     a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     save_checkpoint(a, sample_checkpoint())
     save_checkpoint(b, sample_checkpoint())
-    digest = lambda p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+    digest = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
     assert digest(a) == digest(b)
 
 
@@ -51,8 +51,8 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     path = str(tmp_path / "trunc.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-16])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-16])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
@@ -84,14 +84,15 @@ def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_format_version_1_fails_with_one_checkpoint_error_line(tmp_path, capsys):
-    path = str(tmp_path / "v1.ckpt")
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsys, version):
+    path = str(tmp_path / f"v{version}.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    rewrite_header(path, lambda h: h.update(format_version=1))
+    rewrite_header(path, lambda h: h.update(format_version=version))
     code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error[checkpoint]:") and "format version 1" in err
+    assert err.startswith("error[checkpoint]:") and f"format version {version}" in err
     assert err.count("\n") == 1
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def read_rows(path):
+    return list(csv.reader(Path(path).read_text().splitlines()))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 TOY_MODEL = {
@@ -59,7 +72,7 @@ def test_synth_data_writes_csv(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "synth-data", "--kind", "regime-switch", "--rows", "50",
                               "--channels", "2", "--seed", "1", "--output", str(out))
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     assert rows[0] == ["date", "regime_0", "regime_1"]
     assert len(rows) == 51
     from mlf.data import load_csv
@@ -73,7 +86,7 @@ def test_train_produces_artifacts(trained):
     _, out_dir = trained
     assert (out_dir / "checkpoint.mlfckpt").exists()
     assert (out_dir / "resolved_config.json").exists()
-    log_lines = [json.loads(line) for line in open(out_dir / "train_log.jsonl")]
+    log_lines = read_jsonl(out_dir / "train_log.jsonl")
     epochs = [rec for rec in log_lines if "epoch" in rec]
     assert len(epochs) == 2
     final = log_lines[-1]
@@ -96,7 +109,7 @@ def test_missing_period_lengths_names_field(tmp_path, capsys):
 
 def test_eval_matches_train_log(trained, tmp_path, capsys):
     path, out_dir = trained
-    final = [json.loads(line) for line in open(out_dir / "train_log.jsonl")][-1]
+    final = read_jsonl(out_dir / "train_log.jsonl")[-1]
     # Regenerate the dataset file the checkpoint was trained on.
     data_csv = tmp_path / "data.csv"
     from mlf.synth import generate, write_csv
@@ -130,7 +143,7 @@ def test_eval_attention_export_shape(trained, tmp_path, capsys):
     n_tok = 2 * (4 // 2)  # S * n_patches / r
     assert mat.shape == (n_tok, n_tok)
     assert mat.size == n_tok**2
-    sidecar = json.loads(open(str(att_csv) + ".tokens.json").read())
+    sidecar = read_json(str(att_csv) + ".tokens.json")
     assert [r["period_length"] for r in sidecar["token_ranges"]] == [4, 8]
     weights = np.loadtxt(tmp_path / "w.csv", delimiter=",")
     assert weights.shape == (2, 2)
@@ -149,7 +162,7 @@ def test_forecast_rows_match_horizon(trained, tmp_path, capsys):
         "--output", str(out_csv),
     )
     assert code == 0, err
-    rows = list(csv.reader(open(out_csv)))
+    rows = read_rows(out_csv)
     assert len(rows) == 1 + 2  # header + horizon steps
     assert rows[0][0] == "step"
     # The written values are the model's denormalized forecast, exactly.
@@ -189,6 +202,55 @@ def test_forecast_horizon_mismatch(trained, tmp_path, capsys):
     assert code == 1 and "error[usage]" in err
 
 
+def write_history(path, n_steps=30, *, cell=None, name=None):
+    """A 1-channel trend history; `cell` replaces the value on file line n_steps // 2 + 1,
+    `name` the column name."""
+    from mlf.synth import generate, write_csv
+
+    write_csv(generate("trend", n_steps, 1, 3), str(path))
+    rows = read_rows(path)
+    if name is not None:
+        rows[0][1] = name
+    if cell is not None:
+        rows[n_steps // 2][1] = cell
+    Path(path).write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def assert_one_data_error(code, err, *needles):
+    assert code == 1
+    assert err.startswith("error[data]:") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_forecast_rejects_nan_history(trained, tmp_path, capsys):
+    _, out_dir = trained
+    hist_csv = tmp_path / "nan.csv"
+    write_history(hist_csv, cell="nan")
+    code, out, err = run_cli(capsys, "forecast", str(out_dir / "checkpoint.mlfckpt"), "--data", str(hist_csv))
+    assert_one_data_error(code, err, "non-finite value 'nan' at row 16, column 2 (trend_0)")
+    assert out == ""
+
+
+def test_train_rejects_inf_data(tmp_path, capsys):
+    data_csv = tmp_path / "inf.csv"
+    write_history(data_csv, 160, cell="inf")
+    config = {"seed": 0, "output_dir": str(tmp_path / "out"), "dataset": {"path": str(data_csv)}, "model": TOY_MODEL}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run_cli(capsys, "train", str(path))
+    assert_one_data_error(code, err, "non-finite value 'inf' at row 81, column 2 (trend_0)")
+
+
+def test_forecast_rejects_renamed_channel(trained, tmp_path, capsys):
+    _, out_dir = trained
+    hist_csv = tmp_path / "renamed.csv"
+    write_history(hist_csv, name="other_0")
+    code, out, err = run_cli(capsys, "forecast", str(out_dir / "checkpoint.mlfckpt"), "--data", str(hist_csv))
+    assert_one_data_error(code, err, "['other_0']", "['trend_0']")
+    assert out == ""
+
+
 def test_ablate_rows_and_dedup(toy_run, capsys):
     path, out_dir = toy_run
     code, stdout, err = run_cli(
@@ -196,7 +258,7 @@ def test_ablate_rows_and_dedup(toy_run, capsys):
         "--set", "model.epochs=1",
     )
     assert code == 0, err
-    report = json.loads(open(out_dir / "ablation.json").read())
+    report = read_json(out_dir / "ablation.json")
     labels = [r["variant"] for r in report["rows"]]
     assert labels == ["base", "w/o irf", "w/o lwi"]  # deduplicated, base first
     assert all(len(r["mse_per_seed"]) == 2 for r in report["rows"])
@@ -213,10 +275,10 @@ def test_set_overrides_fields(toy_run, capsys):
     path, out_dir = toy_run
     code, _, err = run_cli(capsys, "train", str(path), "--set", "model.epochs=1", "--seed", "11")
     assert code == 0, err
-    resolved = json.loads(open(out_dir / "resolved_config.json").read())
+    resolved = read_json(out_dir / "resolved_config.json")
     assert resolved["model"]["epochs"] == 1
     assert resolved["seed"] == 11
-    log_lines = [json.loads(line) for line in open(out_dir / "train_log.jsonl")]
+    log_lines = read_jsonl(out_dir / "train_log.jsonl")
     assert sum(1 for rec in log_lines if "epoch" in rec) == 1
 
 

@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from mlf.autograd import ShapeError, Tensor, grad_check, mean_all, softmax, matmul
+import mlf.model
+from mlf.autograd import (
+    ShapeError,
+    Tensor,
+    add,
+    backward,
+    concat,
+    grad_check,
+    matmul,
+    mean_all,
+    relu,
+    softmax,
+    transpose,
+)
 from mlf.encoder import EncoderBlock, SppHead, aggregate_block_forecasts, irf_filter
 from mlf.layers import ParamStore
 from mlf.model import MlfConfig, build_model
@@ -49,11 +62,72 @@ def test_block_gradients_match_finite_differences():
     x = Tensor(rng.standard_normal((2, 4, 6)))
 
     def f(*params):
-        z, _ = block(x, training=True, update_running=False)
+        z, _ = block(x, training=True)
         return mean_all(z * z)
 
     report = grad_check(f, list(st.params.values()))
     assert report.passed, str(report)
+
+
+def test_stacked_projections_are_the_per_head_draws():
+    # One (H, D, d_k) draw per projection consumes the init stream exactly as
+    # H separate (D, d_k) draws, so slice h is head h's own draw and every
+    # later draw is unchanged.
+    d_model, n_heads = 8, 4
+    st = store(5)
+    block = EncoderBlock(st, "b", d_model, n_heads, 16)
+    attention = {name: p.shape for name, p in st.params.items() if name.startswith("b.w")}
+    assert attention == {"b.wq": (4, 8, 2), "b.wk": (4, 8, 2), "b.wv": (4, 8, 2), "b.wo": (8, 8)}
+    rng = np.random.default_rng(5)
+    bound = 1.0 / np.sqrt(d_model)
+    for w in (block.w_q, block.w_k, block.w_v):
+        for h in range(n_heads):
+            assert np.array_equal(w.data[h], rng.uniform(-bound, bound, size=(d_model, 2)))
+    assert np.array_equal(block.w_out.data, rng.uniform(-bound, bound, size=(d_model, d_model)))
+
+
+def per_head_block(block, x, w_q, w_k, w_v):
+    """Reference: the block with one loop iteration and one weight per head."""
+    tokens = transpose(x)  # (B, N, D)
+    scale = 1.0 / np.sqrt(block.d_k)
+    heads, scores = [], []
+    for h in range(block.n_heads):
+        q, k, v = (matmul(tokens, w[h]) for w in (w_q, w_k, w_v))  # (B, N, d_k)
+        s = softmax(scale * matmul(q, transpose(k)), axis=-1)
+        scores.append(s.data)
+        heads.append(matmul(s, v))
+    merged = matmul(concat(heads, axis=-1), block.w_out)
+    u = block.norm_attn(add(x, transpose(merged)), training=True)
+    z = block.norm_ff(add(u, block.ff_out(relu(block.ff_in(u)))), training=True)
+    return z, np.stack(scores)
+
+
+def test_batched_block_matches_per_head_reference():
+    # Desk shape: D = 8, H = 4, three periods of 4 squeezed tokens.
+    st = store(8)
+    block = EncoderBlock(st, "b", 8, 4, 16)
+    x = Tensor(np.random.default_rng(8).standard_normal((16, 8, 12)))
+
+    z, scores = block(x, training=True, collect_scores=True)
+    backward(mean_all(z * z))
+    batched = {name: p.grad for name, p in st.params.items()}
+
+    for p in st.params.values():
+        p.zero_grad()
+    per_head = [
+        [Tensor(w.data[h].copy(), requires_grad=True) for h in range(4)]
+        for w in (block.w_q, block.w_k, block.w_v)
+    ]
+    z_ref, scores_ref = per_head_block(block, x, *per_head)
+    backward(mean_all(z_ref * z_ref))
+
+    assert np.array_equal(z.data, z_ref.data)
+    assert np.array_equal(scores, scores_ref)
+    for name, heads in zip(("b.wq", "b.wk", "b.wv"), per_head):
+        np.testing.assert_allclose(batched[name], np.stack([t.grad for t in heads]), rtol=1e-12, atol=0)
+    for name, p in st.params.items():
+        if name not in ("b.wq", "b.wk", "b.wv"):
+            np.testing.assert_allclose(batched[name], p.grad, rtol=1e-12, atol=0, err_msg=name)
 
 
 # -- single-period heads ---------------------------------------------------------
@@ -192,14 +266,28 @@ def test_disabling_irf_changes_outputs():
     assert not np.allclose(base.forecast.data, ablated.forecast.data)
 
 
-def test_stacking_contract_blocks_consume_filtered_tokens():
+def test_stacking_contract_blocks_consume_filtered_tokens(monkeypatch):
+    block_inputs, filtered = [], []
+    run_block, run_irf = EncoderBlock.__call__, mlf.model.irf_filter
+
+    def record_block(self, x, **kwargs):
+        block_inputs.append(x.data.copy())
+        return run_block(self, x, **kwargs)
+
+    def record_irf(*args):
+        out = run_irf(*args)
+        filtered.append(np.concatenate([t.data for t in out], axis=-1))
+        return out
+
+    monkeypatch.setattr(EncoderBlock, "__call__", record_block)
+    monkeypatch.setattr(mlf.model, "irf_filter", record_irf)
     model = build_model(TOY, seed=0)
     rng = np.random.default_rng(12)
     windows = [rng.standard_normal((2, n)) for n in TOY.period_lengths]
-    bundle = model.forward(windows, training=False, collect_diagnostics=True)
+    model.forward(windows, training=False)
     # Block e+1's input is exactly block e's re-concatenated filtered output;
     # nothing reads a filtered output of the last block, so none is made.
-    assert len(bundle.filtered_tokens) == TOY.n_blocks - 1
-    assert np.array_equal(bundle.block_inputs[1], bundle.filtered_tokens[0])
+    assert len(filtered) == TOY.n_blocks - 1
+    assert np.array_equal(block_inputs[1], filtered[0])
     # And filtering actually changed the tokens between blocks.
-    assert not np.allclose(bundle.block_inputs[1], bundle.block_inputs[0])
+    assert not np.allclose(block_inputs[1], block_inputs[0])

@@ -55,7 +55,7 @@ def test_feature_gradients_match_finite_differences():
     x = Tensor(np.random.default_rng(3).standard_normal((2, 8)))
 
     def f(*params):
-        att = wi(x, training=True, update_running=False)
+        att = wi(x, training=True)
         return mean_all(att * att)
 
     report = grad_check(f, list(st.params.values()))

@@ -252,7 +252,7 @@ NO_GRADIENT = {
     "irf": ("*.redundancy.*",),
     "lwi": ("lwi.*",),
     "map": (),
-    "ma": ("block?.head*", "block?.wo", "block?.bn_*", "block?.ff_*"),
+    "ma": ("block?.w[qkvo]", "block?.bn_*", "block?.ff_*"),
     "reconstruction_loss": ("squeeze.dec.*",),
 }
 
@@ -274,7 +274,7 @@ def test_one_step_gradient_coverage(flag):
 
 def test_paper_default_parameter_count():
     model = build_model(MlfConfig(period_lengths=(96, 192, 336), horizon=24), seed=0)
-    assert len(model.params) == 129
+    assert len(model.params) == 102
     assert sum(p.size for p in model.params.values()) == 1_690_210
     redundancy = sorted({name.rsplit(".", 2)[0] for name in model.params if ".redundancy." in name})
     assert redundancy == ["block0.spp.p0", "block0.spp.p1", "block1.spp.p0", "block1.spp.p1"]
