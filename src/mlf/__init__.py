@@ -16,16 +16,15 @@ from .autograd import (
     Tensor,
     backward,
     grad_check,
+    no_grad,
     set_nan_guard,
 )
 from .data import (
     DataError,
-    MultiPeriodWindow,
     SeriesDataset,
     SplitRanges,
     load_csv,
     load_fund_csv,
-    sample_windows,
     split_dataset,
     standardize,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "GradCheckReport",
     "MlfConfig",
     "MlfModel",
-    "MultiPeriodWindow",
     "NumericsError",
     "SeriesDataset",
     "ShapeError",
@@ -69,7 +67,7 @@ __all__ = [
     "load_csv",
     "load_fund_csv",
     "mlf_loss",
-    "sample_windows",
+    "no_grad",
     "seed_streams",
     "set_nan_guard",
     "split_dataset",

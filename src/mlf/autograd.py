@@ -4,7 +4,9 @@ A Tensor wraps a numpy array and, when it participates in a differentiable
 computation, records the operation that produced it (its parents plus a
 vector-Jacobian-product closure). `backward()` walks the recorded graph once
 in reverse topological order and accumulates gradients into the leaves that
-requested them.
+requested them. Inside `with no_grad():` nothing is recorded, as with
+`torch.no_grad`: inference forwards keep no graph and free each intermediate
+array as soon as it is no longer read.
 
 Only the primitives the multi-period forecasting model needs are provided:
 matmul (with stacked/batched broadcasting), elementwise arithmetic with
@@ -15,6 +17,7 @@ reductions, and mean-squared error.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,27 @@ def set_nan_guard(enabled: bool) -> bool:
     previous = _NAN_GUARD
     _NAN_GUARD = bool(enabled)
     return previous
+
+
+# Tape recording. Off only inside `no_grad()`.
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape nodes inside the block.
+
+    Primitive outputs get no parents, no vjp and requires_grad=False, so the
+    block's results cannot be differentiated. Nests; the previous mode is
+    restored on exit, also when the block raises.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class Tensor:
@@ -137,7 +161,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     if _NAN_GUARD and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op {op!r}")
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import synth
 from .ablation import ablate, normalize_flags
-from .autograd import NumericsError, ShapeError
+from .autograd import NumericsError, ShapeError, no_grad
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     DataError,
@@ -141,12 +142,22 @@ def split_from(section: dict, ds: SeriesDataset, cfg: MlfConfig):
     )
 
 
-def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict]:
+def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
+    """Config, standardized dataset, split, dataset section, and the
+    `data_record` of the values before standardization."""
     cfg = model_config_from(raw)
     ds, section = load_dataset_from(raw)
     split = split_from(section, ds, cfg)
+    record = data_record(ds)
     ds = standardize(ds, split)
-    return cfg, ds, split, section
+    return cfg, ds, split, section, record
+
+
+def data_record(ds: SeriesDataset) -> dict:
+    """Row count and sha256 of the raw float64 values: identifies the data a
+    checkpoint was trained on."""
+    digest = hashlib.sha256(np.ascontiguousarray(ds.values, dtype=np.float64).tobytes()).hexdigest()
+    return {"rows": ds.n_steps, "sha256": digest}
 
 
 def write_resolved_config(out_dir: str, raw: dict) -> None:
@@ -160,7 +171,7 @@ def write_resolved_config(out_dir: str, raw: dict) -> None:
 
 def cmd_train(args) -> int:
     raw = load_run_config(args.config, args.set, args.seed, args.output)
-    cfg, ds, split, section = prepare(raw)
+    cfg, ds, split, section, record = prepare(raw)
     out_dir = raw["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_resolved_config(out_dir, raw)
@@ -200,13 +211,13 @@ def cmd_train(args) -> int:
         log.write(json.dumps(final) + "\n")
 
     ckpt_path = os.path.join(out_dir, CHECKPOINT_FILE)
-    save_checkpoint(ckpt_path, make_checkpoint(model, ds, raw))
+    save_checkpoint(ckpt_path, make_checkpoint(model, ds, raw, record))
     print(f"test mse (normalized): {test.report_normalized.mse:.6f}")
     print(f"checkpoint: {ckpt_path}")
     return 0
 
 
-def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict) -> Checkpoint:
+def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict, record: dict) -> Checkpoint:
     norm = None
     if ds.norm is not None:
         norm = {
@@ -218,7 +229,7 @@ def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict) -> Checkpoint
         config=model.config.to_dict(),
         arrays=model.state_arrays(),
         normalization=norm,
-        meta={"run": {k: raw.get(k) for k in ("seed", "dataset")}},
+        meta={"run": {k: raw.get(k) for k in ("seed", "dataset")}, "data": record},
     )
 
 
@@ -235,10 +246,7 @@ def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:
     mean = np.asarray(ckpt.normalization["mean"])
     std = np.asarray(ckpt.normalization["std"])
     if mean.size != ds.n_channels:
-        raise CliError(
-            "shape",
-            f"checkpoint was trained on {mean.size} channels but dataset has {ds.n_channels}",
-        )
+        raise DataError(f"checkpoint was trained on {mean.size} channels but dataset has {ds.n_channels}")
     trained_on = ckpt.normalization.get("channels")
     if trained_on != list(ds.channel_names):
         raise DataError(f"dataset channels {list(ds.channel_names)} do not match the checkpoint's {trained_on}")
@@ -251,6 +259,16 @@ def cmd_eval(args) -> int:
     model = restore_model(ckpt)
     cfg = model.config
     ds = load_fund_csv(args.data) if args.format == "fund" else load_csv(args.data)
+    # The split is recomputed from the file, so only the training data itself
+    # scores the rows the checkpoint's run held out. Checkpoints written
+    # without a data record (through the library API) are not checked.
+    trained_on, found = (ckpt.meta or {}).get("data"), data_record(ds)
+    if trained_on is not None and trained_on != found:
+        raise DataError(
+            f"{args.data} is not the data the checkpoint was trained on: file has {found['rows']} rows "
+            f"(sha256 {found['sha256'][:12]}), training data had {trained_on['rows']} rows "
+            f"(sha256 {trained_on['sha256'][:12]})"
+        )
     split_spec = (ckpt.meta or {}).get("run", {}).get("dataset", {}) or {}
     split = split_from(split_spec, ds, cfg)
     ds = apply_checkpoint_norm(ds, ckpt)
@@ -312,7 +330,8 @@ def cmd_forecast(args) -> int:
         np.stack([ds.values[-n:, c] for c in range(ds.n_channels)])
         for n in cfg.period_lengths
     ]
-    bundle = model.forward(windows, training=False)
+    with no_grad():
+        bundle = model.forward(windows, training=False)
     rows = ds.norm.invert(bundle.forecast.data, np.arange(ds.n_channels)).T  # (m, C)
     out = args.output or "forecast.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -326,7 +345,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_ablate(args) -> int:
     raw = load_run_config(args.config, args.set, args.seed, args.output)
-    cfg, ds, split, _section = prepare(raw)
+    cfg, ds, split, _section, _record = prepare(raw)
     flags = normalize_flags(args.flags.split(","))
     seeds = list(range(args.seeds))
     report = ablate(ds, split, cfg, flags, seeds=seeds)

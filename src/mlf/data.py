@@ -1,4 +1,4 @@
-"""CSV loading, normalization, splitting, and multi-period window sampling.
+"""CSV loading, normalization, splitting, and multi-period window gathering.
 
 Every variable of a multivariate series is treated as its own univariate
 stream (channel independence): a training sample is one channel's set of
@@ -74,20 +74,6 @@ class SplitRanges:
             return {"train": self.train, "val": self.val, "test": self.test}[name]
         except KeyError:
             raise DataError(f"unknown split {name!r}, expected train/val/test") from None
-
-
-@dataclass(frozen=True)
-class MultiPeriodWindow:
-    """One sample: right-aligned histories of several lengths plus the target.
-
-    windows[s] has length period_lengths[s]; all end at the anchor time t and
-    the target covers [t, t + m).
-    """
-
-    windows: tuple[np.ndarray, ...]
-    target: np.ndarray
-    channel: int
-    anchor: int
 
 
 def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset:
@@ -220,28 +206,6 @@ def window_anchors(
     if last < first:
         return np.empty(0, dtype=np.int64)
     return np.arange(first, last + 1, dtype=np.int64)
-
-
-def sample_windows(
-    ds: SeriesDataset,
-    split_range: tuple[int, int],
-    period_lengths: list[int],
-    horizon: int,
-):
-    """Yield every MultiPeriodWindow of a split, channel-major.
-
-    period_lengths must be strictly increasing; window s is a suffix of the
-    longest window because all windows share the anchor.
-    """
-    if any(a >= b for a, b in zip(period_lengths, period_lengths[1:])):
-        raise DataError(f"period lengths must be strictly increasing, got {period_lengths}")
-    anchors = window_anchors(split_range, period_lengths, horizon)
-    for channel in range(ds.n_channels):
-        series = ds.values[:, channel]
-        for t in anchors:
-            windows = tuple(series[t - n : t].copy() for n in period_lengths)
-            target = series[t : t + horizon].copy()
-            yield MultiPeriodWindow(windows, target, channel, int(t))
 
 
 def gather_batch(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import backward
+from .autograd import backward, no_grad
 from .data import SeriesDataset, SplitRanges, gather_batch, window_anchors
 from .metrics import MetricsReport, compute_metrics, naive_repeat_last
 from .model import MlfConfig, MlfModel, ForecastBundle, mlf_loss, seed_streams
@@ -146,8 +146,9 @@ def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg:
     for lo in range(0, channels.size, cfg.batch_size):
         sel = slice(lo, lo + cfg.batch_size)
         windows, targets = gather_batch(ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon)
-        bundle = model.forward(windows, training=False)
-        loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
+        with no_grad():
+            bundle = model.forward(windows, training=False)
+            loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
         total += float(loss.total.data) * windows[0].shape[0]
         count += windows[0].shape[0]
     return total / count
@@ -198,7 +199,8 @@ def evaluate(
         windows, batch_targets = gather_batch(
             ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon
         )
-        bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
+        with no_grad():
+            bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
         preds[sel] = bundle.forecast.data
         targets[sel] = batch_targets
         lasts[sel] = windows[-1][:, -1:]

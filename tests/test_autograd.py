@@ -19,6 +19,7 @@ from mlf.autograd import (
     mse,
     mul,
     narrow,
+    no_grad,
     relu,
     reshape,
     set_nan_guard,
@@ -217,6 +218,29 @@ def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):
         backward(mul(x, x))
+
+
+def test_no_grad_records_nothing_and_nests():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            inner = mul(x, x)
+        outer = sum_all(mul(x, x))  # the inner block's exit left recording off
+    for y in (inner, outer):
+        assert y.is_leaf() and y._vjp is None and not y.requires_grad
+    with pytest.raises(ValueError, match="requires_grad"):
+        backward(outer)
+    backward(sum_all(mul(x, x)))  # recording is back on
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_no_grad_is_restored_after_an_exception():
+    x = Tensor([3.0], requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("raised inside no_grad")
+    y = mul(x, x)
+    assert y.requires_grad and y._parents == (x, x)
 
 
 def test_backward_through_small_network():

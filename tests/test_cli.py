@@ -251,6 +251,29 @@ def test_forecast_rejects_renamed_channel(trained, tmp_path, capsys):
     assert out == ""
 
 
+def test_forecast_rejects_channel_count_mismatch(trained, tmp_path, capsys):
+    _, out_dir = trained
+    hist_csv = tmp_path / "two.csv"
+    code, _, _ = run_cli(capsys, "synth-data", "--rows", "30", "--channels", "2", "--seed", "3",
+                         "--output", str(hist_csv))
+    assert code == 0
+    code, out, err = run_cli(capsys, "forecast", str(out_dir / "checkpoint.mlfckpt"), "--data", str(hist_csv))
+    assert_one_data_error(code, err, "trained on 1 channels but dataset has 2")
+    assert out == ""
+
+
+@pytest.mark.parametrize("rows", [100, 160])
+def test_eval_rejects_data_the_checkpoint_was_not_trained_on(rows, trained, tmp_path, capsys):
+    _, out_dir = trained
+    from mlf.synth import generate, write_csv
+
+    data_csv = tmp_path / "other.csv"
+    write_csv(generate("trend", rows, 1, 4), str(data_csv))  # trained on 160 rows of seed 3
+    code, out, err = run_cli(capsys, "eval", str(out_dir / "checkpoint.mlfckpt"), "--data", str(data_csv))
+    assert_one_data_error(code, err, f"file has {rows} rows", "training data had 160 rows")
+    assert out == ""
+
+
 def test_ablate_rows_and_dedup(toy_run, capsys):
     path, out_dir = toy_run
     code, stdout, err = run_cli(

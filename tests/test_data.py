@@ -9,12 +9,13 @@ from mlf.data import (
     gather_batch,
     load_csv,
     load_fund_csv,
-    sample_windows,
     split_dataset,
     standardize,
     window_anchors,
 )
+from mlf.model import ConfigError, MlfConfig
 from mlf.synth import seasonal_multichannel, write_csv
+from mlf.training import sample_index
 
 
 def write_lines(path, lines):
@@ -166,16 +167,34 @@ def test_anchor_enumeration_t10():
     assert anchors.tolist() == [4, 5, 6, 7, 8, 9]
 
 
+def reference_windows(ds, split_range, period_lengths, horizon):
+    """Reference for the gathered windows: one (channel, anchor, windows, target)
+    sample at a time, channel-major, by plain slicing of each channel."""
+    start, end = split_range
+    for channel in range(ds.n_channels):
+        series = ds.values[:, channel]
+        for t in range(max(start, max(period_lengths)), end - horizon + 1):
+            yield channel, t, [series[t - n : t] for n in period_lengths], series[t : t + horizon]
+
+
+def gather_split(ds, split_range, period_lengths, horizon):
+    """Every window of a split the way training and evaluation build them:
+    `sample_index` under a validated config, then one `gather_batch`."""
+    cfg = MlfConfig(period_lengths=tuple(period_lengths), horizon=horizon, n_patches=2, squeeze_factor=1)
+    channels, anchors = sample_index(ds, split_range, cfg)
+    windows, targets = gather_batch(ds, channels, anchors, list(period_lengths), horizon)
+    return channels, anchors, windows, targets
+
+
 def test_sample_windows_counts_and_suffix():
     ds = seasonal_multichannel(10, 1, seed=7)
-    samples = list(sample_windows(ds, (0, 10), [2, 4], 1))
-    assert len(samples) == 6
-    for s in samples:
-        assert s.windows[0].shape == (2,) and s.windows[1].shape == (4,)
-        # Shorter windows are suffixes of the longest one.
-        assert np.array_equal(s.windows[0], s.windows[1][-2:])
-        assert s.target.shape == (1,)
-        assert np.array_equal(s.target, ds.values[s.anchor : s.anchor + 1, 0])
+    _, anchors, windows, targets = gather_split(ds, (0, 10), [2, 4], 1)
+    assert anchors.size == 6
+    assert windows[0].shape == (6, 2) and windows[1].shape == (6, 4)
+    # Shorter windows are suffixes of the longest one.
+    assert np.array_equal(windows[0], windows[1][:, -2:])
+    assert targets.shape == (6, 1)
+    assert np.array_equal(targets[:, 0], ds.values[anchors, 0])
 
 
 def test_first_anchor_is_longest_period():
@@ -186,36 +205,40 @@ def test_first_anchor_is_longest_period():
 def test_targets_never_cross_split_end():
     ds = seasonal_multichannel(100, 1, seed=8)
     split = split_dataset(ds, "ratio")
-    for sample in sample_windows(ds, split.val, [4, 8], 3):
-        assert sample.anchor + 3 <= split.val[1]
-        assert sample.anchor >= split.val[0]
+    _, anchors, _, _ = gather_split(ds, split.val, [4, 8], 3)
+    assert anchors.size > 0
+    assert (anchors + 3 <= split.val[1]).all()
+    assert (anchors >= split.val[0]).all()
 
 
 def test_val_windows_reach_back_into_train():
     ds = seasonal_multichannel(100, 1, seed=9)
     split = split_dataset(ds, "ratio")
-    samples = list(sample_windows(ds, split.val, [4, 16], 2))
-    assert any(s.anchor - 16 < split.train[1] for s in samples)
+    _, anchors, _, _ = gather_split(ds, split.val, [4, 16], 2)
+    assert (anchors - 16 < split.train[1]).any()
 
 
 def test_sample_windows_rejects_unsorted_periods():
     ds = seasonal_multichannel(50, 1, seed=10)
-    with pytest.raises(DataError, match="strictly increasing"):
-        list(sample_windows(ds, (0, 50), [8, 8], 1))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        gather_split(ds, (0, 50), [8, 8], 1)
 
 
 def test_empty_stream_when_no_anchor_fits():
     ds = seasonal_multichannel(12, 1, seed=11)
-    assert list(sample_windows(ds, (0, 12), [20], 1)) == []
+    assert list(reference_windows(ds, (0, 12), [20], 1)) == []
+    channels, anchors, windows, targets = gather_split(ds, (0, 12), [20], 1)
+    assert channels.size == anchors.size == 0
+    assert windows[0].shape == (0, 20) and targets.shape == (0, 1)
 
 
 def test_gather_batch_matches_stream():
     ds = seasonal_multichannel(40, 2, seed=12)
-    samples = list(sample_windows(ds, (0, 40), [3, 6], 2))
-    channels = np.array([s.channel for s in samples])
-    anchors = np.array([s.anchor for s in samples])
-    windows, targets = gather_batch(ds, channels, anchors, [3, 6], 2)
-    for i, s in enumerate(samples):
-        assert np.array_equal(windows[0][i], s.windows[0])
-        assert np.array_equal(windows[1][i], s.windows[1])
-        assert np.array_equal(targets[i], s.target)
+    samples = list(reference_windows(ds, (0, 40), [3, 6], 2))
+    channels, anchors, windows, targets = gather_split(ds, (0, 40), [3, 6], 2)
+    assert channels.tolist() == [c for c, _, _, _ in samples]
+    assert anchors.tolist() == [t for _, t, _, _ in samples]
+    for i, (_, _, ref_windows, ref_target) in enumerate(samples):
+        assert np.array_equal(windows[0][i], ref_windows[0])
+        assert np.array_equal(windows[1][i], ref_windows[1])
+        assert np.array_equal(targets[i], ref_target)

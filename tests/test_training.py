@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from mlf import autograd, cli
+from mlf.checkpoint import Checkpoint, save_checkpoint
 from mlf.data import split_dataset, standardize
 from mlf.model import build_model, mlf_loss
-from mlf.synth import regime_switching
+from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, evaluate, train, sample_index, validation_loss
 from mlf.data import gather_batch
 
@@ -132,6 +134,75 @@ def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset
     n_tok = sum(b - a for a, b in model.token_ranges)
     assert mat.shape == (n_tok, n_tok)
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-6
+
+
+def taped_batches(model, ds, split_range):
+    """The inference forward of `evaluate` and `validation_loss`, batch by batch,
+    with the tape recording."""
+    cfg = model.config
+    channels, anchors = sample_index(ds, split_range, cfg)
+    for lo in range(0, channels.size, cfg.batch_size):
+        sel = slice(lo, lo + cfg.batch_size)
+        windows, targets = gather_batch(ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon)
+        bundle = model.forward(windows, training=False)
+        assert bundle.forecast.requires_grad
+        yield windows, targets, bundle
+
+
+def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset):
+    from dataclasses import replace
+
+    ds, split = tiny_dataset
+    cfg = replace(tiny_config, batch_size=8)  # several batches per split
+    model = build_model(cfg, seed=0)
+    train(model, ds, split, seed=0)
+
+    result = evaluate(model, ds, split, "test")
+    taped = np.concatenate([b.forecast.data for _, _, b in taped_batches(model, ds, split.test)])
+    assert np.array_equal(result.predictions, taped)
+
+    total, count = 0.0, 0
+    for windows, targets, bundle in taped_batches(model, ds, split.val):
+        loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
+        total += float(loss.total.data) * windows[0].shape[0]
+        count += windows[0].shape[0]
+    assert validation_loss(model, ds, split, cfg) == total / count
+
+
+@pytest.fixture
+def tape_nodes(monkeypatch):
+    """Count of the tape nodes (outputs that carry a vjp) made while the test runs."""
+    counter = {"nodes": 0}
+    original = autograd._node
+
+    def counting(data, parents, vjp, op):
+        out = original(data, parents, vjp, op)
+        counter["nodes"] += out._vjp is not None
+        return out
+
+    monkeypatch.setattr(autograd, "_node", counting)
+    return counter
+
+
+def test_inference_records_no_tape_nodes(tiny_config, tiny_dataset, tmp_path, tape_nodes, capsys):
+    ds, split = tiny_dataset
+    model = build_model(tiny_config, seed=0)
+    evaluate(model, ds, split, "test")
+    assert tape_nodes["nodes"] == 0
+    validation_loss(model, ds, split, tiny_config)
+    assert tape_nodes["nodes"] == 0
+
+    ckpt_path, hist_path = str(tmp_path / "model.mlfckpt"), str(tmp_path / "hist.csv")
+    norm = {"channels": list(ds.channel_names), "mean": ds.norm.mean.tolist(), "std": ds.norm.std.tolist()}
+    save_checkpoint(ckpt_path, Checkpoint(tiny_config.to_dict(), model.state_arrays(), norm))
+    write_csv(linear_trend(30, 1, seed=3), hist_path)
+    code = cli.main(["forecast", ckpt_path, "--data", hist_path, "--output", str(tmp_path / "pred.csv")])
+    assert code == 0, capsys.readouterr().err
+    assert tape_nodes["nodes"] == 0
+
+    # The counter sees the nodes of a taped forward.
+    next(taped_batches(model, ds, split.test))
+    assert tape_nodes["nodes"] > 0
 
 
 def test_kappa_partition_analysis_on_regime_data():
