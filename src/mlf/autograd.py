@@ -495,13 +495,11 @@ def batch_norm(
     return _node(out, (x, gamma, beta), vjp, "batch_norm")
 
 
-def max_pool1d(x: Tensor, kernel: int = 2, stride: int = 2) -> Tensor:
-    """Max pooling over the last axis; only kernel == stride == 2 is needed."""
+def max_pool1d(x: Tensor) -> Tensor:
+    """Max pooling over the last axis with kernel and stride 2."""
     x = _lift(x)
     if x.ndim != 3:
         raise ShapeError(f"max_pool1d expects (B,C,T) input, got {x.shape}")
-    if kernel != 2 or stride != 2:
-        raise ShapeError("max_pool1d supports kernel=stride=2 only")
     batch, c, t = x.shape
     if t < 2:
         raise ShapeError(f"max_pool1d needs T >= 2, got T={t}")

@@ -45,10 +45,10 @@ class Checkpoint:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     names = sorted(ckpt.arrays)
+    arrays = [np.ascontiguousarray(ckpt.arrays[name], dtype=np.float64) for name in names]
     tensors = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.arrays[name], dtype=np.float64)
+    for name, arr in zip(names, arrays):
         nbytes = arr.size * 8
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": nbytes})
         offset += nbytes
@@ -64,8 +64,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(ckpt.arrays[name], dtype=np.float64).tobytes())
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -95,11 +95,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             name, shape, start, nbytes = spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: {exc!r}") from None
-        if 8 * math.prod(shape) != nbytes:
+        if not all(isinstance(d, int) and d >= 0 for d in shape) or 8 * math.prod(shape) != nbytes:
             raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)} but {nbytes} bytes")
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated tensor data for {name}")
-        flat = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
+        if not isinstance(start, int) or start < 0 or start + nbytes > len(payload):
+            raise CheckpointError(
+                f"{path}: tensor data for {name} at offset {start!r} is outside the {len(payload)} bytes "
+                "after the header (truncated or corrupt file)"
+            )
+        flat = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=start)
         arrays[name] = flat.reshape(shape).copy()
     return Checkpoint(
         config=header["config"],

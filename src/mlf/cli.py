@@ -28,6 +28,7 @@ from .data import (
     DataError,
     SeriesDataset,
     Normalization,
+    gather_batch,
     load_csv,
     load_fund_csv,
     split_dataset,
@@ -99,16 +100,22 @@ def model_config_from(raw: dict) -> MlfConfig:
     section = raw.get("model")
     if not isinstance(section, dict):
         raise ConfigError("missing required config section: model")
-    if isinstance(section.get("period_lengths"), list):
-        section = dict(section, period_lengths=tuple(section["period_lengths"]))
     return MlfConfig.from_dict(section)
+
+
+def read_dataset(path: str, fmt: str) -> SeriesDataset:
+    """The one reader of data files: `fmt` is 'generic' or 'fund'."""
+    if fmt == "fund":
+        return load_fund_csv(path)
+    if fmt == "generic":
+        return load_csv(path)
+    raise ConfigError(f"dataset.format must be 'generic' or 'fund', got {fmt!r}")
 
 
 def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
     section = raw.get("dataset")
     if not isinstance(section, dict):
         raise ConfigError("missing required config section: dataset")
-    fmt = section.get("format", "generic")
     if "synthetic" in section:
         spec = section["synthetic"]
         ds = synth.generate(
@@ -118,12 +125,7 @@ def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
             int(spec.get("seed", 0)),
         )
     elif "path" in section:
-        if fmt == "fund":
-            ds = load_fund_csv(section["path"])
-        elif fmt == "generic":
-            ds = load_csv(section["path"])
-        else:
-            raise ConfigError(f"dataset.format must be 'generic' or 'fund', got {fmt!r}")
+        ds = read_dataset(section["path"], section.get("format", "generic"))
     else:
         raise ConfigError("dataset section needs either 'path' or 'synthetic'")
     return ds, section
@@ -234,8 +236,7 @@ def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict, record: dict)
 
 
 def restore_model(ckpt: Checkpoint) -> MlfModel:
-    cfg = MlfConfig.from_dict(dict(ckpt.config, period_lengths=tuple(ckpt.config["period_lengths"])))
-    model = build_model(cfg, seed=0)
+    model = build_model(MlfConfig.from_dict(ckpt.config), seed=0)
     model.load_state_arrays(ckpt.arrays)
     return model
 
@@ -258,7 +259,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
     cfg = model.config
-    ds = load_fund_csv(args.data) if args.format == "fund" else load_csv(args.data)
+    ds = read_dataset(args.data, args.format)
     # The split is recomputed from the file, so only the training data itself
     # scores the rows the checkpoint's run held out. Checkpoints written
     # without a data record (through the library API) are not checked.
@@ -297,7 +298,7 @@ def cmd_eval(args) -> int:
         sidecar = {
             "token_ranges": [
                 {"period_length": n, "start": a, "end": b}
-                for n, (a, b) in zip(cfg.period_lengths, result.token_ranges)
+                for n, (a, b) in zip(cfg.period_lengths, model.token_ranges)
             ]
         }
         with open(args.export_attention + ".tokens.json", "w", encoding="utf-8") as fh:
@@ -320,19 +321,17 @@ def cmd_forecast(args) -> int:
             "usage",
             f"model forecasts a fixed horizon of {cfg.horizon} steps, cannot emit {args.horizon}",
         )
-    ds = load_fund_csv(args.data) if args.format == "fund" else load_csv(args.data)
+    ds = read_dataset(args.data, args.format)
     needed = max(cfg.period_lengths)
     if ds.n_steps < needed:
         raise CliError("data", f"need at least {needed} history rows, file has {ds.n_steps}")
     ds = apply_checkpoint_norm(ds, ckpt)
     # One sample per channel, all anchored at the end of the file.
-    windows = [
-        np.stack([ds.values[-n:, c] for c in range(ds.n_channels)])
-        for n in cfg.period_lengths
-    ]
+    channels = np.arange(ds.n_channels)
+    windows, _ = gather_batch(ds, channels, np.full(ds.n_channels, ds.n_steps), list(cfg.period_lengths), 0)
     with no_grad():
         bundle = model.forward(windows, training=False)
-    rows = ds.norm.invert(bundle.forecast.data, np.arange(ds.n_channels)).T  # (m, C)
+    rows = ds.norm.invert(bundle.forecast.data, channels).T  # (m, C)
     out = args.output or "forecast.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

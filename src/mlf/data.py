@@ -1,8 +1,10 @@
 """CSV loading, normalization, splitting, and multi-period window gathering.
 
 Every variable of a multivariate series is treated as its own univariate
-stream (channel independence): a training sample is one channel's set of
-right-aligned history windows plus its forecast target.
+stream (channel independence): a sample is one (channel, anchor) pair, and
+`gather_batch` is the only code that turns such pairs into the model's
+right-aligned history windows and forecast targets. Training, validation,
+evaluation and `mlf forecast` all gather their windows through it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DataError(ValueError):
@@ -215,14 +218,22 @@ def gather_batch(
     period_lengths: list[int],
     horizon: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Materialize a batch: per-period (B, n_s) arrays plus (B, m) targets."""
-    batch = len(anchors)
-    windows = [np.empty((batch, n), dtype=np.float64) for n in period_lengths]
-    targets = np.empty((batch, horizon), dtype=np.float64)
-    for i in range(batch):
-        series = ds.values[:, channels[i]]
-        t = anchors[i]
-        for s, n in enumerate(period_lengths):
-            windows[s][i] = series[t - n : t]
-        targets[i] = series[t : t + horizon]
-    return windows, targets
+    """Materialize a batch: per-period (B, n_s) arrays plus (B, m) targets.
+
+    The one path from (channel, anchor) pairs to model inputs: row i holds
+    ds.values[anchors[i] - n : anchors[i], channels[i]] for each period
+    length n, and the target the next `horizon` values. Each array is one
+    fancy index into a strided view of the series, so it is a C-contiguous
+    copy. An anchor whose windows or target leave the series is a DataError.
+    """
+    anchors = np.asarray(anchors)
+    if not anchors.size:  # no view exists for a window longer than the series
+        return [np.empty((0, n)) for n in period_lengths], np.empty((0, horizon))
+    longest, n_steps = max(period_lengths), ds.n_steps
+    if anchors.min() < longest or anchors.max() > n_steps - horizon:
+        raise DataError(
+            f"anchors {anchors.min()}..{anchors.max()} leave the series: windows of up to {longest} rows "
+            f"and a {horizon}-step target fit anchors {longest}..{n_steps - horizon} of {n_steps} rows"
+        )
+    windows = [sliding_window_view(ds.values, n, axis=0)[anchors - n, channels] for n in period_lengths]
+    return windows, sliding_window_view(ds.values, horizon, axis=0)[anchors, channels]

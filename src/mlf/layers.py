@@ -50,48 +50,35 @@ class ParamStore:
 class Linear:
     """y = x @ W + b applied to the last axis; W is (n_in, n_out)."""
 
-    def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int):
         bound = 1.0 / np.sqrt(n_in)
         self.w = store.uniform(f"{name}.w", (n_in, n_out), bound)
-        self.b = store.uniform(f"{name}.b", (n_out,), bound) if bias else None
+        self.b = store.uniform(f"{name}.b", (n_out,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w)
-        return add(y, self.b) if self.b is not None else y
+        return add(matmul(x, self.w), self.b)
 
 
 class ChannelLinear:
     """y = W @ x + b for feature-first layouts (..., C_in, N); W is (C_out, C_in)."""
 
-    def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int):
         bound = 1.0 / np.sqrt(n_in)
         self.w = store.uniform(f"{name}.w", (n_out, n_in), bound)
-        self.b = store.uniform(f"{name}.b", (n_out, 1), bound) if bias else None
+        self.b = store.uniform(f"{name}.b", (n_out, 1), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(self.w, x)
-        return add(y, self.b) if self.b is not None else y
+        return add(matmul(self.w, x), self.b)
 
 
 class BatchNorm:
     """Feature-axis batch norm for (B, C, T) tensors with running statistics."""
 
-    def __init__(self, store: ParamStore, name: str, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, store: ParamStore, name: str, num_features: int):
         self.gamma = store.ones(f"{name}.gamma", (num_features,))
         self.beta = store.zeros(f"{name}.beta", (num_features,))
         self.running_mean = store.buffer(f"{name}.running_mean", np.zeros(num_features))
         self.running_var = store.buffer(f"{name}.running_var", np.ones(num_features))
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, *, training: bool) -> Tensor:
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=training,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=training)

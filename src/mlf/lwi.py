@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, conv1d, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
-from .layers import BatchNorm, Linear, ParamStore
+from .layers import BatchNorm, ParamStore
+
+CONV_KERNEL = 3
 
 
 class WeightIntegrator:
@@ -26,16 +28,14 @@ class WeightIntegrator:
         horizon: int,
         window_len: int,
         conv_filters: int = 16,
-        kernel: int = 3,
     ):
         if window_len < 2:
             raise ValueError(f"feature window must have >= 2 steps, got {window_len}")
         self.n_periods = n_periods
         self.horizon = horizon
         self.window_len = window_len
-        self.conv_filters = conv_filters
-        bound = 1.0 / np.sqrt(kernel)
-        self.conv_w = store.uniform(f"{name}.conv.w", (conv_filters, 1, kernel), bound)
+        bound = 1.0 / np.sqrt(CONV_KERNEL)
+        self.conv_w = store.uniform(f"{name}.conv.w", (conv_filters, 1, CONV_KERNEL), bound)
         self.conv_b = store.uniform(f"{name}.conv.b", (conv_filters,), bound)
         self.norm = BatchNorm(store, f"{name}.bn", conv_filters)
         self.feature_len = conv_filters * (window_len // 2)

@@ -49,7 +49,6 @@ class MetricsReport:
     wmape: float | None
     units: str  # "normalized" or "original"
     per_horizon: list[dict] = field(default_factory=list)
-    kappa_by_partition: dict[str, float] = field(default_factory=dict)
     n_samples: int = 0
 
     def to_dict(self) -> dict:
@@ -59,7 +58,6 @@ class MetricsReport:
             "mae": self.mae,
             "wmape": self.wmape,
             "per_horizon": self.per_horizon,
-            "kappa_by_partition": self.kappa_by_partition,
             "n_samples": self.n_samples,
         }
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -156,11 +156,9 @@ class ForecastBundle:
 
     forecast: Tensor  # (B, m) integrated prediction
     period_forecasts: list[Tensor]  # S x (B, m), block-averaged
-    block_forecasts: list[list[Tensor]]  # E x S x (B, m)
     att: Tensor | None  # (B, S, m) integration weights
     reconstructions: list[Tensor]  # S x (B, L_s, N_s)
     raw_patches: list[Tensor]  # S x (B, L_s, N_s) constants
-    token_ranges: list[tuple[int, int]]  # per-period token spans
     attention_scores: list[np.ndarray] | None = None  # E x (H, B, N, N)
 
 
@@ -362,11 +360,9 @@ class MlfModel:
         return ForecastBundle(
             forecast=forecast,
             period_forecasts=period_forecasts,
-            block_forecasts=block_forecasts,
             att=att,
             reconstructions=reconstructions,
             raw_patches=raw_patches,
-            token_ranges=self.token_ranges,
             attention_scores=attention_scores,
         )
 

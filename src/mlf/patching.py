@@ -23,7 +23,6 @@ class PatchParams:
     stride: int  # K
     patch_len: int  # L = ratio * K
     n_patches: int  # patch count this geometry produces
-    ratio: int = 2
 
     @property
     def fitted_len(self) -> int:
@@ -42,7 +41,7 @@ def derive_patch_params(window_len: int, n_patches: int, ratio: int = 2) -> Patc
     if n_patches < 2:
         raise ValueError(f"patch count must be >= 2, got {n_patches}")
     stride = max(1, window_len // n_patches)
-    return PatchParams(window_len, stride, ratio * stride, n_patches, ratio)
+    return PatchParams(window_len, stride, ratio * stride, n_patches)
 
 
 def fixed_patch_params(window_len: int, patch_len: int = 16, stride: int = 8) -> PatchParams:
@@ -57,7 +56,7 @@ def fixed_patch_params(window_len: int, patch_len: int = 16, stride: int = 8) ->
             f"(needs >= {patch_len - stride} with L={patch_len}, K={stride})"
         )
     count = (window_len - patch_len) // stride + 2
-    return PatchParams(window_len, stride, patch_len, count, ratio=patch_len // stride)
+    return PatchParams(window_len, stride, patch_len, count)
 
 
 def fit_length(windows: np.ndarray, params: PatchParams) -> np.ndarray:

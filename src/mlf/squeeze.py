@@ -17,8 +17,6 @@ class PatchEncoder:
     """The shared squeeze map: one linear layer along the patch axis."""
 
     def __init__(self, store: ParamStore, name: str, n_patches: int, n_squeezed: int):
-        self.n_patches = n_patches
-        self.n_squeezed = n_squeezed
         self.lin = Linear(store, name, n_patches, n_squeezed)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -1,16 +1,20 @@
-"""Training loop, validation checkpointing, and split evaluation."""
+"""Training loop, validation checkpointing, and split evaluation.
+
+Every loop here walks one sample index from `sample_index` through the one
+batch iterator `batches`, which gathers each batch with `data.gather_batch`.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import backward, no_grad
 from .data import SeriesDataset, SplitRanges, gather_batch, window_anchors
 from .metrics import MetricsReport, compute_metrics, naive_repeat_last
-from .model import MlfConfig, MlfModel, ForecastBundle, mlf_loss, seed_streams
+from .model import ConfigError, MlfConfig, MlfModel, mlf_loss, seed_streams
 from .optim import Adam, clip_global_norm
 
 
@@ -44,15 +48,27 @@ class TrainResult:
     step_losses: list[float]
     best_epoch: int
     best_val_loss: float
-    best_state: dict[str, np.ndarray]
     steps: int
 
 
-def sample_index(ds: SeriesDataset, split_range: tuple[int, int], cfg: MlfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All (channel, anchor) pairs of a split, channel-major."""
+def sample_index(
+    ds: SeriesDataset, split_range: tuple[int, int], cfg: MlfConfig, stride: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every `stride`-th (channel, anchor) pair of a split, channel-major."""
+    if stride < 1:
+        raise ConfigError(f"anchor stride must be >= 1, got {stride}")
     anchors = window_anchors(split_range, list(cfg.period_lengths), cfg.horizon)
     channels = np.repeat(np.arange(ds.n_channels), anchors.size)
-    return channels, np.tile(anchors, ds.n_channels)
+    return channels[::stride], np.tile(anchors, ds.n_channels)[::stride]
+
+
+def batches(ds: SeriesDataset, cfg: MlfConfig, channels: np.ndarray, anchors: np.ndarray):
+    """The one batch loop: yields (rows, windows, targets) for each run of
+    `cfg.batch_size` consecutive pairs, `rows` being the slice of the index."""
+    for lo in range(0, channels.size, cfg.batch_size):
+        rows = slice(lo, lo + cfg.batch_size)
+        windows, targets = gather_batch(ds, channels[rows], anchors[rows], list(cfg.period_lengths), cfg.horizon)
+        yield rows, windows, targets
 
 
 def train(
@@ -74,9 +90,7 @@ def train(
     """
     cfg = model.config
     _, shuffle_rng = seed_streams(seed)
-    channels, anchors = sample_index(ds, split.train, cfg)
-    if anchor_stride > 1:
-        channels, anchors = channels[::anchor_stride], anchors[::anchor_stride]
+    channels, anchors = sample_index(ds, split.train, cfg, anchor_stride)
     n_samples = channels.size
     if n_samples == 0:
         raise ValueError("train split has no complete windows; check period lengths and horizon")
@@ -93,23 +107,17 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         order = shuffle_rng.permutation(n_samples)
+        if max_steps:  # the epoch stops at the step cap
+            order = order[: (max_steps - step) * cfg.batch_size]
         epoch_loss = 0.0
-        epoch_count = 0
-        for lo in range(0, n_samples, cfg.batch_size):
-            if max_steps and step >= max_steps:
-                break
-            pick = order[lo : lo + cfg.batch_size]
-            windows, targets = gather_batch(
-                ds, channels[pick], anchors[pick], list(cfg.period_lengths), cfg.horizon
-            )
+        for _, windows, targets in batches(ds, cfg, channels[order], anchors[order]):
             bundle = model.forward(windows, training=True)
             loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
             value = float(loss.total.data)
             if not np.isfinite(value):
                 raise DivergenceError(step)
             step_losses.append(value)
-            epoch_loss += value * len(pick)
-            epoch_count += len(pick)
+            epoch_loss += value * targets.shape[0]
             model.zero_grad()
             backward(loss.total)
             if cfg.grad_clip:
@@ -119,7 +127,7 @@ def train(
         val_loss = validation_loss(model, ds, split, cfg)
         record = EpochRecord(
             epoch=epoch,
-            train_loss=epoch_loss / max(epoch_count, 1),
+            train_loss=epoch_loss / order.size,
             val_loss=val_loss,
             seconds=time.perf_counter() - start,
         )
@@ -135,23 +143,20 @@ def train(
             break
 
     model.load_state_arrays(best_state)
-    return TrainResult(records, step_losses, best_epoch, best_val, best_state, step)
+    return TrainResult(records, step_losses, best_epoch, best_val, step)
 
 
 def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg: MlfConfig) -> float:
     channels, anchors = sample_index(ds, split.val, cfg)
     if channels.size == 0:
         return float("nan")
-    total, count = 0.0, 0
-    for lo in range(0, channels.size, cfg.batch_size):
-        sel = slice(lo, lo + cfg.batch_size)
-        windows, targets = gather_batch(ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon)
+    total = 0.0
+    for _, windows, targets in batches(ds, cfg, channels, anchors):
         with no_grad():
             bundle = model.forward(windows, training=False)
             loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
-        total += float(loss.total.data) * windows[0].shape[0]
-        count += windows[0].shape[0]
-    return total / count
+        total += float(loss.total.data) * targets.shape[0]
+    return total / channels.size
 
 
 @dataclass
@@ -165,7 +170,6 @@ class EvalResult:
     anchors: np.ndarray
     att_mean: np.ndarray | None  # (S, m)
     attention_mean: np.ndarray | None  # (N_tok, N_tok)
-    token_ranges: list[tuple[int, int]] = field(default_factory=list)
 
 
 def evaluate(
@@ -181,9 +185,7 @@ def evaluate(
 ) -> EvalResult:
     """Forecast a whole split and score it in normalized and original units."""
     cfg = model.config
-    channels, anchors = sample_index(ds, split.get(split_name), cfg)
-    if anchor_stride > 1:
-        channels, anchors = channels[::anchor_stride], anchors[::anchor_stride]
+    channels, anchors = sample_index(ds, split.get(split_name), cfg, anchor_stride)
     if channels.size == 0:
         raise ValueError(f"split {split_name!r} has no complete windows")
 
@@ -194,11 +196,7 @@ def evaluate(
     attn_sum = None
     attn_count = 0
 
-    for lo in range(0, channels.size, cfg.batch_size):
-        sel = slice(lo, lo + cfg.batch_size)
-        windows, batch_targets = gather_batch(
-            ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon
-        )
+    for sel, windows, batch_targets in batches(ds, cfg, channels, anchors):
         with no_grad():
             bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
         preds[sel] = bundle.forecast.data
@@ -240,5 +238,4 @@ def evaluate(
         anchors=anchors,
         att_mean=att_sum / channels.size if cfg.use_lwi else None,
         attention_mean=attn_sum / attn_count if attn_count else None,
-        token_ranges=model.token_ranges,
     )

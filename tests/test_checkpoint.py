@@ -84,6 +84,27 @@ def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"offset": -8}, "offset -8 is outside"),
+        ({"offset": "0"}, "offset '0' is outside"),
+        ({"shape": [-2, -2]}, "shape [-2, -2] but 32 bytes"),
+        ({"shape": ["4"]}, "shape ['4'] but 32 bytes"),
+    ],
+    ids=["negative-offset", "text-offset", "negative-dims", "text-dim"],
+)
+def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_path, capsys, entry, needle):
+    path = str(tmp_path / "entry.ckpt")
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda h: h["tensors"][0].update(entry))  # tensor "b": shape [4], offset 0
+    code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[checkpoint]:") and needle in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsys, version):
     path = str(tmp_path / f"v{version}.ckpt")

@@ -166,14 +166,61 @@ def test_forecast_rows_match_horizon(trained, tmp_path, capsys):
     assert len(rows) == 1 + 2  # header + horizon steps
     assert rows[0][0] == "step"
     # The written values are the model's denormalized forecast, exactly.
+    assert np.array_equal(forecast_values(rows), expected_forecast(out_dir / "checkpoint.mlfckpt", hist_csv))
+
+
+def forecast_values(rows):
+    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
+def expected_forecast(ckpt_path, hist_csv):
+    """(m, C) denormalized forecast of the checkpoint's model from the last rows
+    of every channel, sliced here channel by channel."""
     from mlf.data import load_csv
 
-    ckpt = load_checkpoint(str(out_dir / "checkpoint.mlfckpt"))
+    ckpt = load_checkpoint(str(ckpt_path))
     model = cli.restore_model(ckpt)
     ds = cli.apply_checkpoint_norm(load_csv(str(hist_csv)), ckpt)
     windows = [ds.values[-n:].T.copy() for n in model.config.period_lengths]
     pred = ds.norm.invert(model.forward(windows, training=False).forecast.data, np.arange(ds.n_channels))
-    assert np.array_equal(np.array([[float(v) for v in row[1:]] for row in rows[1:]]), pred.T)
+    return pred.T
+
+
+def test_forecast_of_two_channels_is_the_models_forecast(toy_run, tmp_path, capsys):
+    path, out_dir = toy_run
+    code, _, err = run_cli(capsys, "train", str(path), "--set", "dataset.synthetic.n_channels=2")
+    assert code == 0, err
+    from mlf.synth import generate, write_csv
+
+    hist_csv = tmp_path / "hist2.csv"
+    write_csv(generate("trend", 30, 2, 5), str(hist_csv))
+    out_csv = tmp_path / "pred2.csv"
+    code, _, err = run_cli(
+        capsys, "forecast", str(out_dir / "checkpoint.mlfckpt"), "--data", str(hist_csv),
+        "--output", str(out_csv),
+    )
+    assert code == 0, err
+    rows = read_rows(out_csv)
+    assert rows[0] == ["step", "trend_0", "trend_1"]
+    expected = expected_forecast(out_dir / "checkpoint.mlfckpt", hist_csv)
+    assert expected.shape == (2, 2) and not np.array_equal(expected[:, 0], expected[:, 1])
+    assert np.array_equal(forecast_values(rows), expected)
+
+
+def test_unknown_data_format_is_a_config_error(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    write_history(data_csv, 160)
+    config = {
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+        "dataset": {"path": str(data_csv), "format": "parquet"},
+        "model": TOY_MODEL,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run_cli(capsys, "train", str(path))
+    assert code == 1
+    assert err == "error[config]: dataset.format must be 'generic' or 'fund', got 'parquet'\n"
 
 
 def test_forecast_rejects_short_history(trained, tmp_path, capsys):

@@ -242,3 +242,44 @@ def test_gather_batch_matches_stream():
         assert np.array_equal(windows[0][i], ref_windows[0])
         assert np.array_equal(windows[1][i], ref_windows[1])
         assert np.array_equal(targets[i], ref_target)
+
+
+def test_gather_batch_matches_plain_slices_in_any_order():
+    ds = seasonal_multichannel(40, 2, seed=12)
+    samples = list(reference_windows(ds, (0, 40), [3, 6], 2))
+    order = np.random.default_rng(0).permutation(len(samples))
+    channels = np.array([samples[i][0] for i in order])
+    anchors = np.array([samples[i][1] for i in order])
+    windows, targets = gather_batch(ds, channels, anchors, [3, 6], 2)
+    for row, i in enumerate(order):
+        _, _, ref_windows, ref_target = samples[i]
+        assert np.array_equal(windows[0][row], ref_windows[0])
+        assert np.array_equal(windows[1][row], ref_windows[1])
+        assert np.array_equal(targets[row], ref_target)
+    assert all(w.flags.c_contiguous for w in windows) and targets.flags.c_contiguous
+
+
+@pytest.mark.parametrize("anchor", [5, 39], ids=["history-before-row-0", "target-past-the-end"])
+def test_gather_batch_rejects_anchors_outside_the_series(anchor):
+    # Longest period 6 and horizon 2 on 40 rows: anchors 6..38 fit. A strided
+    # view would wrap a negative start around to the end of the series.
+    ds = seasonal_multichannel(40, 2, seed=12)
+    with pytest.raises(DataError, match="leave the series"):
+        gather_batch(ds, np.array([0, 1]), np.array([20, anchor]), [3, 6], 2)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_sample_index_stride_slices_the_full_index(stride):
+    ds = seasonal_multichannel(40, 2, seed=12)
+    cfg = MlfConfig(period_lengths=(3, 6), horizon=2, n_patches=2, squeeze_factor=1)
+    channels, anchors = sample_index(ds, (0, 40), cfg)
+    strided = sample_index(ds, (0, 40), cfg, stride)
+    assert np.array_equal(strided[0], channels[::stride])
+    assert np.array_equal(strided[1], anchors[::stride])
+
+
+def test_sample_index_rejects_a_stride_below_one():
+    ds = seasonal_multichannel(40, 1, seed=12)
+    cfg = MlfConfig(period_lengths=(3, 6), horizon=2, n_patches=2, squeeze_factor=1)
+    with pytest.raises(ConfigError, match="stride"):
+        sample_index(ds, (0, 40), cfg, 0)

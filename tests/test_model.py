@@ -109,7 +109,7 @@ def test_forward_shapes_full_trace():
     assert len(bundle.period_forecasts) == 6
     assert bundle.att.shape == (2, 6, 5)
     assert bundle.attention_scores[0].shape == (4, 2, 48, 48)  # 6 periods x 8 tokens
-    assert bundle.token_ranges[-1] == (40, 48)
+    assert model.token_ranges[-1] == (40, 48)
     for s, geom in enumerate(model.geometries):
         assert bundle.raw_patches[s].shape == (2, geom.params.patch_len, 64)
         assert bundle.reconstructions[s].shape == bundle.raw_patches[s].shape
@@ -182,11 +182,9 @@ def test_loss_hand_arithmetic():
     bundle = ForecastBundle(
         forecast=Tensor(np.array([[1.0, 3.0]])),
         period_forecasts=[],
-        block_forecasts=[],
         att=None,
         reconstructions=[Tensor(np.full((1, 1, 2), np.sqrt(2.0))), Tensor(np.full((1, 1, 2), 2.0))],
         raw_patches=[Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 2)))],
-        token_ranges=[],
     )
     parts = mlf_loss(bundle, np.array([[0.0, 2.0]]))
     assert float(parts.total.data) == pytest.approx(4.0)
@@ -239,7 +237,7 @@ def test_no_map_variant_runs_with_uneven_patch_counts():
     windows = toy_windows(3, 6, cfg)
     bundle = model.forward(windows, training=True)
     assert bundle.forecast.shape == (3, 2)
-    sizes = [b - a for a, b in bundle.token_ranges]
+    sizes = [b - a for a, b in model.token_ranges]
     assert sizes == [1, 2, 4]
 
 
