@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SeriesDataset, SplitRanges
-from .model import ABLATION_FLAGS, ConfigError, MlfConfig, apply_ablation, build_model
+from .model import MlfConfig, apply_ablation, build_model
 from .training import evaluate, train
 
 
@@ -65,17 +65,9 @@ class AblationReport:
 
 
 def normalize_flags(flags) -> list[str]:
-    """Deduplicate while keeping first-seen order; reject unknown names."""
-    seen: list[str] = []
-    for flag in flags:
-        flag = flag.strip()
-        if not flag:
-            continue
-        if flag not in ABLATION_FLAGS:
-            raise ConfigError(f"unknown ablation flag {flag!r}, expected one of {list(ABLATION_FLAGS)}")
-        if flag not in seen:
-            seen.append(flag)
-    return seen
+    """Strip, drop blanks and deduplicate, keeping first-seen order;
+    `apply_ablation` rejects unknown names."""
+    return list(dict.fromkeys(flag.strip() for flag in flags if flag.strip()))
 
 
 def ablate(
@@ -91,7 +83,7 @@ def ablate(
 
     Metrics are test-split normalized MSE/MAE, aggregated over seeds. The
     same seed list drives every variant, so weight init and batch order are
-    shared wherever shapes allow.
+    shared wherever shapes allow. Every flag is checked before any training.
     """
     flags = normalize_flags(flags)
     variants = [("base", base_config)] + [(f"w/o {f}", apply_ablation(base_config, f)) for f in flags]

@@ -3,7 +3,9 @@
 Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
 (sorted keys), then each tensor's row-major float64 bytes in header order.
 Writing the same state twice produces byte-identical files, which the
-reproducibility guarantee relies on.
+reproducibility guarantee relies on. `load_checkpoint` is the one place that
+validates a header: every field its readers use has its type, or the load
+fails with a `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import ConfigError, MlfConfig, has_type
 
 MAGIC = b"MLFCKPT1"
 # Version 2: SPP heads carry a redundancy branch only where the forward pass
@@ -87,17 +91,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
         payload = fh.read()
-    if not isinstance(header.get("tensors"), list):
-        raise CheckpointError(f"{path}: corrupt header: no tensor table")
+    check_fields(path, header)
     arrays = {}
     for spec in header["tensors"]:
         try:
             name, shape, start, nbytes = spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: {exc!r}") from None
-        if not all(isinstance(d, int) and d >= 0 for d in shape) or 8 * math.prod(shape) != nbytes:
-            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)} but {nbytes} bytes")
-        if not isinstance(start, int) or start < 0 or start + nbytes > len(payload):
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: the name is not a string")
+        if not all(has_type(v, "int") and v >= 0 for v in (nbytes, *shape)) or 8 * math.prod(shape) != nbytes:
+            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)} but {nbytes!r} bytes")
+        if not has_type(start, "int") or start < 0 or start + nbytes > len(payload):
             raise CheckpointError(
                 f"{path}: tensor data for {name} at offset {start!r} is outside the {len(payload)} bytes "
                 "after the header (truncated or corrupt file)"
@@ -108,5 +113,37 @@ def load_checkpoint(path: str) -> Checkpoint:
         config=header["config"],
         arrays=arrays,
         normalization=header.get("normalization"),
-        meta=header.get("meta") or {},
+        meta=header.get("meta", {}),
     )
+
+
+def check_fields(path: str, header: dict) -> None:
+    """Reject a header whose tensor table, config, normalization or meta its
+    readers would trip on."""
+    try:
+        MlfConfig.from_dict(header.get("config"))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: corrupt header: config: {exc}") from None
+    norm, meta = header.get("normalization"), header.get("meta", {})
+    run, data = (meta.get("run", {}), meta.get("data")) if isinstance(meta, dict) else (None, None)
+    rules = {
+        "no tensor table": isinstance(header.get("tensors"), list),
+        "normalization must be null or {channels: [str], mean: [number], std: [number > 0]} of one length": (
+            norm is None
+            or isinstance(norm, dict)
+            and all(isinstance(norm.get(k), list) for k in ("channels", "mean", "std"))
+            and len(norm["channels"]) == len(norm["mean"]) == len(norm["std"])
+            and all(isinstance(c, str) for c in norm["channels"])
+            and all(has_type(v, "float") for v in norm["mean"] + norm["std"])
+            and min(norm["std"], default=1) > 0
+        ),
+        "meta must be an object": isinstance(meta, dict),
+        "meta.run and meta.run.dataset must be objects": isinstance(run, dict)
+        and isinstance(run.get("dataset", {}), dict),
+        "meta.data must be null or {rows: int, sha256: str}": data is None or (
+            isinstance(data, dict) and has_type(data.get("rows"), "int") and isinstance(data.get("sha256"), str)
+        ),
+    }
+    for rule, holds in rules.items():
+        if not holds:
+            raise CheckpointError(f"{path}: corrupt header: {rule}")

@@ -3,14 +3,14 @@
 Runs are described by a JSON config file; individual fields can be
 overridden with repeated `--set dotted.key=value` flags. Every command
 writes a resolved-config snapshot next to its outputs so a run can be
-reproduced from the snapshot alone. Errors print one
-`error[<code>]: message` line to stderr and exit nonzero.
+reproduced from the snapshot alone. Each error category has one exception
+type, and `main` maps it to the one `error[<code>]: message` line it prints
+to stderr before exiting nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import synth
-from .ablation import ablate, normalize_flags
+from .ablation import ablate
 from .autograd import NumericsError, ShapeError, no_grad
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
@@ -45,10 +45,8 @@ LOG_FILE = "train_log.jsonl"
 RESOLVED_CONFIG_FILE = "resolved_config.json"
 
 
-class CliError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A command line that asks a command for something it cannot do."""
 
 
 # -- config handling -----------------------------------------------------------
@@ -59,12 +57,11 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise CliError("io", f"cannot read config {path}: {exc}") from None
+        raise OSError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError("config", f"config {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise CliError("config", f"config {path} must be a JSON object")
-    raw = copy.deepcopy(raw)
+        raise ConfigError(f"config {path} must be a JSON object")
     for item in overrides:
         apply_override(raw, item)
     raw.setdefault("seed", 0)
@@ -81,7 +78,7 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
 
 def apply_override(config: dict, item: str) -> None:
     if "=" not in item:
-        raise CliError("usage", f"--set expects dotted.key=value, got {item!r}")
+        raise UsageError(f"--set expects dotted.key=value, got {item!r}")
     key, text = item.split("=", 1)
     try:
         value = json.loads(text)
@@ -92,15 +89,8 @@ def apply_override(config: dict, item: str) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise CliError("config", f"--set path {key!r} crosses a non-object value")
+            raise ConfigError(f"--set path {key!r} crosses a non-object value")
     node[parts[-1]] = value
-
-
-def model_config_from(raw: dict) -> MlfConfig:
-    section = raw.get("model")
-    if not isinstance(section, dict):
-        raise ConfigError("missing required config section: model")
-    return MlfConfig.from_dict(section)
 
 
 def read_dataset(path: str, fmt: str) -> SeriesDataset:
@@ -147,7 +137,7 @@ def split_from(section: dict, ds: SeriesDataset, cfg: MlfConfig):
 def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
     """Config, standardized dataset, split, dataset section, and the
     `data_record` of the values before standardization."""
-    cfg = model_config_from(raw)
+    cfg = MlfConfig.from_dict(raw.get("model"))
     ds, section = load_dataset_from(raw)
     split = split_from(section, ds, cfg)
     record = data_record(ds)
@@ -194,21 +184,12 @@ def cmd_train(args) -> int:
         result = train(
             model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=int(section.get("anchor_stride", 1))
         )
-        test = evaluate(
-            model,
-            ds,
-            split,
-            "test",
-            naive_baseline=True,
-            fund_style=section.get("format") == "fund",
-        )
+        test = evaluate(model, ds, split, "test", fund_style=section.get("format") == "fund")
         final = {
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
             "steps": result.steps,
-            "test": test.report_normalized.to_dict(),
-            "test_original_units": test.report_original.to_dict(),
-            "naive": test.naive_normalized.to_dict() if test.naive_normalized else None,
+            "test": test.to_dict(),
         }
         log.write(json.dumps(final) + "\n")
 
@@ -220,35 +201,36 @@ def cmd_train(args) -> int:
 
 
 def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict, record: dict) -> Checkpoint:
-    norm = None
-    if ds.norm is not None:
-        norm = {
-            "channels": list(ds.channel_names),
-            "mean": ds.norm.mean.tolist(),
-            "std": ds.norm.std.tolist(),
-        }
+    """The checkpoint of a trained model and the standardized data of its run."""
     return Checkpoint(
         config=model.config.to_dict(),
         arrays=model.state_arrays(),
-        normalization=norm,
+        normalization={
+            "channels": list(ds.channel_names),
+            "mean": ds.norm.mean.tolist(),
+            "std": ds.norm.std.tolist(),
+        },
         meta={"run": {k: raw.get(k) for k in ("seed", "dataset")}, "data": record},
     )
 
 
 def restore_model(ckpt: Checkpoint) -> MlfModel:
     model = build_model(MlfConfig.from_dict(ckpt.config), seed=0)
-    model.load_state_arrays(ckpt.arrays)
+    try:
+        model.load_state_arrays(ckpt.arrays)
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from None
     return model
 
 
 def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:
     if ckpt.normalization is None:
-        raise CliError("checkpoint", "checkpoint carries no normalization statistics")
+        raise CheckpointError("checkpoint carries no normalization statistics")
     mean = np.asarray(ckpt.normalization["mean"])
     std = np.asarray(ckpt.normalization["std"])
     if mean.size != ds.n_channels:
         raise DataError(f"checkpoint was trained on {mean.size} channels but dataset has {ds.n_channels}")
-    trained_on = ckpt.normalization.get("channels")
+    trained_on = ckpt.normalization["channels"]
     if trained_on != list(ds.channel_names):
         raise DataError(f"dataset channels {list(ds.channel_names)} do not match the checkpoint's {trained_on}")
     norm = Normalization(mean, std)
@@ -263,15 +245,14 @@ def cmd_eval(args) -> int:
     # The split is recomputed from the file, so only the training data itself
     # scores the rows the checkpoint's run held out. Checkpoints written
     # without a data record (through the library API) are not checked.
-    trained_on, found = (ckpt.meta or {}).get("data"), data_record(ds)
+    trained_on, found = ckpt.meta.get("data"), data_record(ds)
     if trained_on is not None and trained_on != found:
         raise DataError(
             f"{args.data} is not the data the checkpoint was trained on: file has {found['rows']} rows "
             f"(sha256 {found['sha256'][:12]}), training data had {trained_on['rows']} rows "
             f"(sha256 {trained_on['sha256'][:12]})"
         )
-    split_spec = (ckpt.meta or {}).get("run", {}).get("dataset", {}) or {}
-    split = split_from(split_spec, ds, cfg)
+    split = split_from(ckpt.meta.get("run", {}).get("dataset", {}), ds, cfg)
     ds = apply_checkpoint_norm(ds, ckpt)
     result = evaluate(
         model,
@@ -279,21 +260,13 @@ def cmd_eval(args) -> int:
         split,
         args.split,
         collect_attention=args.export_attention is not None,
-        naive_baseline=args.naive_baseline,
         fund_style=args.format == "fund",
     )
-    payload = {
-        "split": args.split,
-        "normalized": result.report_normalized.to_dict(),
-        "original_units": result.report_original.to_dict(),
-    }
-    if result.naive_normalized is not None:
-        payload["naive_normalized"] = result.naive_normalized.to_dict()
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(result.to_dict(), indent=2))
 
     if args.export_attention is not None:
         if result.attention_mean is None:
-            raise CliError("usage", "attention export requires a model with attention enabled")
+            raise UsageError("attention export requires a model with attention enabled")
         np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.17g")
         sidecar = {
             "token_ranges": [
@@ -306,7 +279,7 @@ def cmd_eval(args) -> int:
         print(f"attention matrix: {args.export_attention}")
     if args.export_weights is not None:
         if result.att_mean is None:
-            raise CliError("usage", "weight export requires the learned-integration head")
+            raise UsageError("weight export requires the learned-integration head")
         np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.17g")
         print(f"integration weights: {args.export_weights}")
     return 0
@@ -316,15 +289,10 @@ def cmd_forecast(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
     cfg = model.config
-    if args.horizon is not None and args.horizon != cfg.horizon:
-        raise CliError(
-            "usage",
-            f"model forecasts a fixed horizon of {cfg.horizon} steps, cannot emit {args.horizon}",
-        )
     ds = read_dataset(args.data, args.format)
     needed = max(cfg.period_lengths)
     if ds.n_steps < needed:
-        raise CliError("data", f"need at least {needed} history rows, file has {ds.n_steps}")
+        raise DataError(f"need at least {needed} history rows, file has {ds.n_steps}")
     ds = apply_checkpoint_norm(ds, ckpt)
     # One sample per channel, all anchored at the end of the file.
     channels = np.arange(ds.n_channels)
@@ -345,9 +313,7 @@ def cmd_forecast(args) -> int:
 def cmd_ablate(args) -> int:
     raw = load_run_config(args.config, args.set, args.seed, args.output)
     cfg, ds, split, _section, _record = prepare(raw)
-    flags = normalize_flags(args.flags.split(","))
-    seeds = list(range(args.seeds))
-    report = ablate(ds, split, cfg, flags, seeds=seeds)
+    report = ablate(ds, split, cfg, args.flags.split(","), seeds=list(range(args.seeds)))
     out_dir = raw["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_resolved_config(out_dir, raw)
@@ -383,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "val", "test"), default="test")
     p_eval.add_argument("--export-attention", metavar="CSV", default=None)
     p_eval.add_argument("--export-weights", metavar="CSV", default=None)
-    p_eval.add_argument("--naive-baseline", action="store_true", help="also score repeat-last-value")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_fore = sub.add_parser("forecast", help="forecast past the end of a CSV")
     p_fore.add_argument("checkpoint")
     p_fore.add_argument("--data", required=True)
     p_fore.add_argument("--format", choices=("generic", "fund"), default="generic")
-    p_fore.add_argument("--horizon", type=int, default=None)
     p_fore.add_argument("--output", default=None)
     p_fore.set_defaults(fn=cmd_forecast)
 
@@ -418,25 +382,25 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output directory (env MLF_OUTPUT_DIR overrides)")
 
 
-ERROR_CODES = (
-    (CliError, None),
-    (ConfigError, "config"),
-    (DataError, "data"),
-    (CheckpointError, "checkpoint"),
-    (DivergenceError, "diverged"),
-    (MetricError, "metric"),
-    (ShapeError, "shape"),
-    (NumericsError, "numeric"),
-    (OSError, "io"),
-)
+ERROR_CODES = {
+    UsageError: "usage",
+    ConfigError: "config",
+    DataError: "data",
+    CheckpointError: "checkpoint",
+    DivergenceError: "diverged",
+    MetricError: "metric",
+    ShapeError: "shape",
+    NumericsError: "numeric",
+    OSError: "io",
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except tuple(exc for exc, _ in ERROR_CODES) as exc:
-        code = exc.code if isinstance(exc, CliError) else next(c for e, c in ERROR_CODES if isinstance(exc, e))
+    except tuple(ERROR_CODES) as exc:
+        code = next(ERROR_CODES[t] for t in type(exc).__mro__ if t in ERROR_CODES)
         print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +22,7 @@ class DataError(ValueError):
 
 
 # Value columns of fund-sales style files; the remaining numeric columns are
-# trading-calendar flags that are kept around but never fed to the model.
+# trading-calendar flags that are parsed but never fed to the model.
 FUND_VALUE_COLUMNS = ("apply_amt", "redeem_amt")
 
 
@@ -52,7 +52,6 @@ class SeriesDataset:
     channel_names: list[str]
     values: np.ndarray  # (T, C) float64
     timestamps: list[str] | None = None
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
     norm: Normalization | None = None
 
     @property
@@ -84,8 +83,8 @@ def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset
 
     The first column is a date/identifier and is kept as a string; every
     other column must parse as a float. `value_columns` picks a subset of
-    columns as the forecast channels, leaving the rest as auxiliary data
-    (used for fund-style files whose flag columns are not model inputs).
+    columns as the forecast channels and drops the rest (used for fund-style
+    files whose flag columns are not model inputs).
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -131,17 +130,12 @@ def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset
     if missing:
         raise DataError(f"{path}: value columns not found: {missing}")
     value_idx = [columns.index(c) for c in value_columns]
-    aux = {
-        name: matrix[:, i].copy()
-        for i, name in enumerate(columns)
-        if i not in value_idx
-    }
-    return SeriesDataset(list(value_columns), matrix[:, value_idx], timestamps, aux=aux)
+    return SeriesDataset(list(value_columns), matrix[:, value_idx], timestamps)
 
 
 def load_fund_csv(path: str) -> SeriesDataset:
-    """Load a fund-sales file: apply/redeem amounts are the channels, the
-    calendar flag columns ride along as auxiliary data."""
+    """Load a fund-sales file: apply/redeem amounts are the channels; the
+    calendar flag columns are dropped."""
     return load_csv(path, value_columns=list(FUND_VALUE_COLUMNS))
 
 
@@ -159,14 +153,10 @@ def split_dataset(
     scheme "ratio" splits by the given proportions (default 7:1:2); scheme
     "ett" uses the 12/4/4-month convention with `rows_per_month` rows each.
     Window sampling later reaches back across range starts for history, so
-    the ranges themselves stay disjoint.
+    the ranges themselves stay disjoint. Given `min_history`, the train and
+    test ranges must each hold a complete window; validation may be empty.
     """
     t = ds.n_steps
-    if min_history and t < min_history + horizon:
-        raise DataError(
-            f"dataset has {t} rows but windows need at least {min_history + horizon} "
-            f"(longest history {min_history} + horizon {horizon})"
-        )
     if scheme == "ratio":
         total = sum(ratios)
         train_end = t * ratios[0] // total
@@ -176,7 +166,15 @@ def split_dataset(
         val_end = min(16 * rows_per_month, t)
     else:
         raise DataError(f"unknown split scheme {scheme!r}, expected 'ratio' or 'ett'")
-    return SplitRanges((0, train_end), (train_end, val_end), (val_end, t))
+    split = SplitRanges((0, train_end), (train_end, val_end), (val_end, t))
+    for name in ("train", "test") if min_history else ():
+        lo, hi = split.get(name)
+        if not window_anchors((lo, hi), [min_history], horizon).size:
+            raise DataError(
+                f"the {name} split (rows {lo}..{hi} of {t}) holds no complete window: each needs at least "
+                f"{min_history} history rows before it and a {horizon}-step target inside the split"
+            )
+    return split
 
 
 def standardize(ds: SeriesDataset, split: SplitRanges) -> SeriesDataset:

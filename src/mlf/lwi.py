@@ -2,9 +2,10 @@
 
 A small conv/batch-norm/max-pool stack summarizes the longest history
 window; two tanh projections of that summary are gated through a sigmoid to
-give one weight per (period, horizon step). The final forecast is the mean
-of the per-period forecasts scaled elementwise by those weights, so periods
-that predict a given horizon position well can dominate it.
+give one weight per (period, horizon step). LWI is weighting in front of
+the one mean across periods: each period's forecast is scaled elementwise by
+its weights before the mean, so periods that predict a given horizon position
+well can dominate it. The ablation takes the same mean, unweighted.
 """
 
 from __future__ import annotations
@@ -72,21 +73,18 @@ class WeightIntegrator:
 
 
 def integrate(period_forecasts: list[Tensor], att: Tensor) -> Tensor:
-    """Weighted mean across periods: (1/S) * sum_s forecast_s * att[:, s, :]."""
-    n_periods = len(period_forecasts)
-    if att.shape[-2] != n_periods:
-        raise ValueError(f"weight tensor covers {att.shape[-2]} periods, got {n_periods} forecasts")
+    """LWI: scale each period's forecast by its weights att[:, s, :], in period
+    order, then take the one mean across periods, `integrate_plain`."""
+    if att.shape[-2] != len(period_forecasts):
+        raise ValueError(f"weight tensor covers {att.shape[-2]} periods, got {len(period_forecasts)} forecasts")
     batch, horizon = period_forecasts[0].shape
-    total = None
-    for s, forecast in enumerate(period_forecasts):
-        w = reshape(narrow(att, -2, s, 1), (batch, horizon))
-        term = mul(forecast, w)
-        total = term if total is None else total + term
-    return (1.0 / n_periods) * total
+    terms = [mul(f, reshape(narrow(att, -2, s, 1), (batch, horizon))) for s, f in enumerate(period_forecasts)]
+    return integrate_plain(terms)
 
 
 def integrate_plain(period_forecasts: list[Tensor]) -> Tensor:
-    """Unweighted mean across periods (the integration ablation)."""
+    """The one mean across periods, summed left to right. Applied to the
+    unweighted forecasts, it is the integration ablation."""
     total = period_forecasts[0]
     for forecast in period_forecasts[1:]:
         total = total + forecast

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,22 +44,15 @@ def kappa(history: np.ndarray, future_value: float) -> float:
 
 @dataclass
 class MetricsReport:
+    units: str  # "normalized" or "original"
     mse: float
     mae: float
     wmape: float | None
-    units: str  # "normalized" or "original"
     per_horizon: list[dict] = field(default_factory=list)
     n_samples: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "units": self.units,
-            "mse": self.mse,
-            "mae": self.mae,
-            "wmape": self.wmape,
-            "per_horizon": self.per_horizon,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def compute_metrics(

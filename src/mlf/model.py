@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,7 +25,9 @@ class ConfigError(ValueError):
     """Invalid run/model configuration; the message names the bad field."""
 
 
-ABLATION_FLAGS = ("irf", "lwi", "map", "ma", "reconstruction_loss")
+ABLATIONS = {"irf": "use_irf", "lwi": "use_lwi", "map": "use_map", "ma": "use_attention",
+             "reconstruction_loss": "use_reconstruction_loss"}
+ABLATION_FLAGS = tuple(ABLATIONS)
 
 # Geometry used when adaptive patching is ablated; a PatchTST-family choice.
 FIXED_PATCH_LEN = 16
@@ -57,7 +60,8 @@ class MlfConfig:
     use_reconstruction_loss: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "period_lengths", tuple(int(n) for n in self.period_lengths))
+        if isinstance(self.period_lengths, list):  # as JSON gives it
+            object.__setattr__(self, "period_lengths", tuple(self.period_lengths))
         validate_config(self)
 
     @property
@@ -79,25 +83,46 @@ class MlfConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MlfConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"model config must be a JSON object, got {raw!r}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown model config field(s): {unknown}")
-        if "period_lengths" not in raw:
-            raise ConfigError("missing required config field: model.period_lengths")
-        if "horizon" not in raw:
-            raise ConfigError("missing required config field: model.horizon")
+        for name in ("period_lengths", "horizon"):
+            if name not in raw:
+                raise ConfigError(f"missing required config field: model.{name}")
         return cls(**raw)
 
 
+TYPE_NAMES = {"int": "an integer", "float": "a finite number", "bool": "true or false",
+              "tuple[int, ...]": "a list of integers"}
+
+
+def has_type(value, annotation: str) -> bool:
+    """Whether `value` has the type of an MlfConfig field annotation, a key of
+    TYPE_NAMES (which names it in error messages); a bool is no number."""
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(has_type(n, "int") for n in value)
+    if isinstance(value, bool):
+        return annotation == "bool"
+    if annotation == "float":  # finite, and an int only within float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, int if annotation == "int" else bool)
+
+
 def validate_config(cfg: MlfConfig) -> None:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not has_type(value, f.type):
+            raise ConfigError(f"model.{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
     periods = cfg.period_lengths
     if not periods:
         raise ConfigError("model.period_lengths must not be empty")
-    if any(n < 1 for n in periods):
-        raise ConfigError(f"model.period_lengths must be positive, got {list(periods)}")
     if any(a >= b for a, b in zip(periods, periods[1:])):
         raise ConfigError(f"model.period_lengths must be strictly increasing, got {list(periods)}")
+    if periods[0] < 1 or periods[-1] < 2:  # the integration weights convolve the longest window
+        raise ConfigError(f"model.period_lengths must be positive and the longest >= 2, got {list(periods)}")
     if cfg.horizon < 1:
         raise ConfigError(f"model.horizon must be >= 1, got {cfg.horizon}")
     if cfg.n_patches < 2:
@@ -383,14 +408,7 @@ def mlf_loss(bundle: ForecastBundle, target: np.ndarray, *, use_reconstruction: 
 
 
 def apply_ablation(config: MlfConfig, flag: str) -> MlfConfig:
-    """Config variant with one component switched off."""
-    mapping = {
-        "irf": {"use_irf": False},
-        "lwi": {"use_lwi": False},
-        "map": {"use_map": False},
-        "ma": {"use_attention": False},
-        "reconstruction_loss": {"use_reconstruction_loss": False},
-    }
-    if flag not in mapping:
+    """Config variant with one component switched off: the one check of a flag."""
+    if flag not in ABLATIONS:
         raise ConfigError(f"unknown ablation flag {flag!r}, expected one of {list(ABLATION_FLAGS)}")
-    return replace(config, **mapping[flag])
+    return replace(config, **{ABLATIONS[flag]: False})

@@ -45,10 +45,6 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most `max_norm`.

@@ -7,12 +7,12 @@ batch iterator `batches`, which gathers each batch with `data.gather_batch`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autograd import backward, no_grad
-from .data import SeriesDataset, SplitRanges, gather_batch, window_anchors
+from .data import DataError, SeriesDataset, SplitRanges, gather_batch, window_anchors
 from .metrics import MetricsReport, compute_metrics, naive_repeat_last
 from .model import ConfigError, MlfConfig, MlfModel, mlf_loss, seed_streams
 from .optim import Adam, clip_global_norm
@@ -34,12 +34,7 @@ class EpochRecord:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -93,7 +88,7 @@ def train(
     channels, anchors = sample_index(ds, split.train, cfg, anchor_stride)
     n_samples = channels.size
     if n_samples == 0:
-        raise ValueError("train split has no complete windows; check period lengths and horizon")
+        raise DataError("train split has no complete windows; check period lengths and horizon")
 
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     records: list[EpochRecord] = []
@@ -161,15 +156,25 @@ def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg:
 
 @dataclass
 class EvalResult:
+    split: str
     report_normalized: MetricsReport
     report_original: MetricsReport
-    naive_normalized: MetricsReport | None
+    naive_normalized: MetricsReport  # the repeat-last-value baseline
     predictions: np.ndarray  # (n, m) normalized units
     targets: np.ndarray  # (n, m) normalized units
     channels: np.ndarray
     anchors: np.ndarray
     att_mean: np.ndarray | None  # (S, m)
     attention_mean: np.ndarray | None  # (N_tok, N_tok)
+
+    def to_dict(self) -> dict:
+        """The scored split, as `mlf eval` prints it and `mlf train` logs it."""
+        return {
+            "split": self.split,
+            "normalized": self.report_normalized.to_dict(),
+            "original_units": self.report_original.to_dict(),
+            "naive_normalized": self.naive_normalized.to_dict(),
+        }
 
 
 def evaluate(
@@ -179,19 +184,18 @@ def evaluate(
     split_name: str = "test",
     *,
     collect_attention: bool = False,
-    naive_baseline: bool = False,
     fund_style: bool = False,
     anchor_stride: int = 1,
 ) -> EvalResult:
-    """Forecast a whole split and score it in normalized and original units."""
+    """Forecast a whole split and score it in normalized and original units,
+    next to the repeat-last-value baseline in normalized units."""
     cfg = model.config
     channels, anchors = sample_index(ds, split.get(split_name), cfg, anchor_stride)
     if channels.size == 0:
-        raise ValueError(f"split {split_name!r} has no complete windows")
+        raise DataError(f"split {split_name!r} has no complete windows")
 
     preds = np.empty((channels.size, cfg.horizon))
     targets = np.empty_like(preds)
-    lasts = np.empty((channels.size, 1))
     att_sum = np.zeros((cfg.n_periods, cfg.horizon))
     attn_sum = None
     attn_count = 0
@@ -201,7 +205,6 @@ def evaluate(
             bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
         preds[sel] = bundle.forecast.data
         targets[sel] = batch_targets
-        lasts[sel] = windows[-1][:, -1:]
         if bundle.att is not None:
             att_sum += bundle.att.data.sum(axis=0)
         if collect_attention and bundle.attention_scores:
@@ -223,12 +226,11 @@ def evaluate(
         channels=channels,
         sum_wmape_channels=fund_style,
     )
-    naive_report = None
-    if naive_baseline:
-        naive = naive_repeat_last(lasts, cfg.horizon)
-        naive_report = compute_metrics(naive, targets, units="normalized")
+    lasts = ds.values[anchors - 1, channels][:, None]  # each history's final value
+    naive_report = compute_metrics(naive_repeat_last(lasts, cfg.horizon), targets, units="normalized")
 
     return EvalResult(
+        split=split_name,
         report_normalized=report_norm,
         report_original=report_orig,
         naive_normalized=naive_report,

@@ -91,8 +91,11 @@ def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
         ({"offset": "0"}, "offset '0' is outside"),
         ({"shape": [-2, -2]}, "shape [-2, -2] but 32 bytes"),
         ({"shape": ["4"]}, "shape ['4'] but 32 bytes"),
+        ({"nbytes": 32.0}, "shape [4] but 32.0 bytes"),
+        ({"shape": [True, 4]}, "shape [True, 4] but 32 bytes"),
+        ({"name": ["b"]}, "the name is not a string"),
     ],
-    ids=["negative-offset", "text-offset", "negative-dims", "text-dim"],
+    ids=["negative-offset", "text-offset", "negative-dims", "text-dim", "float-nbytes", "bool-dim", "list-name"],
 )
 def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_path, capsys, entry, needle):
     path = str(tmp_path / "entry.ckpt")
@@ -117,6 +120,16 @@ def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsy
     assert err.count("\n") == 1
 
 
+def test_tensors_that_do_not_fit_the_config_fail_with_one_checkpoint_error_line(tmp_path, capsys):
+    path = str(tmp_path / "misfit.ckpt")
+    save_checkpoint(path, sample_checkpoint())  # tensors "w" and "b" belong to no model
+    code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[checkpoint]: checkpoint tensors do not fit its config: state mismatch")
+    assert err.count("\n") == 1
+
+
 def test_model_state_round_trip(tiny_config, tmp_path):
     model = build_model(tiny_config, seed=4)
     path = str(tmp_path / "m.ckpt")
@@ -129,3 +142,48 @@ def test_model_state_round_trip(tiny_config, tmp_path):
     a = model.forward(windows, training=False).forecast.data
     b = clone.forward(windows, training=False).forecast.data
     assert np.array_equal(a, b)
+
+
+def set_path(header, dotted, value):
+    *parents, key = dotted.split(".")
+    node = header
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda h: h.pop("config"), "config: model config must be a JSON object, got None"),
+        (lambda h: set_path(h, "config.horizon", 0), "config: model.horizon must be >= 1"),
+        (lambda h: set_path(h, "config", [4, 8]), "config: model config must be a JSON object"),
+        (lambda h: set_path(h, "config.period_lengths", "48"), "config: model.period_lengths must be a list"),
+        (lambda h: h["normalization"].pop("mean"), "normalization must be null or"),
+        (lambda h: set_path(h, "normalization", "a"), "normalization must be null or"),
+        (lambda h: set_path(h, "normalization.std", [2.0, 3.0]), "normalization must be null or"),
+        (lambda h: set_path(h, "normalization.mean", [float("nan")]), "normalization must be null or"),
+        (lambda h: set_path(h, "normalization.std", [0.0]), "normalization must be null or"),
+        (lambda h: set_path(h, "normalization.channels", [0]), "normalization must be null or"),
+        (lambda h: set_path(h, "meta", []), "meta must be an object"),
+        (lambda h: set_path(h, "meta.run", "seed 0"), "meta.run and meta.run.dataset must be objects"),
+        (lambda h: set_path(h, "meta.run.dataset", "x"), "meta.run and meta.run.dataset must be objects"),
+        (lambda h: set_path(h, "meta.data", "rows"), "meta.data must be null or {rows: int, sha256: str}"),
+        (lambda h: set_path(h, "meta.data", {"rows": 160}), "meta.data must be null or {rows: int, sha256: str}"),
+    ],
+    ids=[
+        "no-config", "config-horizon-0", "config-list", "config-text-periods", "norm-without-mean", "norm-text",
+        "norm-lengths", "norm-nan", "norm-zero-std", "norm-int-channel", "meta-list", "meta-run-text",
+        "meta-dataset-text", "meta-data-text", "meta-data-without-sha",
+    ],
+)
+def test_malformed_header_field_fails_with_one_checkpoint_error_line(tmp_path, capsys, edit, needle):
+    path = str(tmp_path / "field.ckpt")
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, edit)
+    for command in ("eval", "forecast"):
+        code = cli.main([command, path, "--data", str(tmp_path / "unused.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[checkpoint]: {path}: corrupt header: ") and needle in err, err
+        assert err.count("\n") == 1

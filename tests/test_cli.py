@@ -90,8 +90,13 @@ def test_train_produces_artifacts(trained):
     epochs = [rec for rec in log_lines if "epoch" in rec]
     assert len(epochs) == 2
     final = log_lines[-1]
-    assert "test" in final and final["test"]["mse"] >= 0.0
-    assert final["naive"]["mse"] >= 0.0
+    assert set(final) == {"best_epoch", "best_val_loss", "steps", "test"}
+    test = final["test"]
+    assert set(test) == {"split", "normalized", "original_units", "naive_normalized"}
+    assert test["split"] == "test"
+    assert test["normalized"]["units"] == "normalized" and test["normalized"]["mse"] >= 0.0
+    assert test["original_units"]["units"] == "original"
+    assert test["naive_normalized"]["units"] == "normalized" and test["naive_normalized"]["mse"] >= 0.0
 
 
 def test_missing_period_lengths_names_field(tmp_path, capsys):
@@ -115,13 +120,9 @@ def test_eval_matches_train_log(trained, tmp_path, capsys):
     from mlf.synth import generate, write_csv
 
     write_csv(generate("trend", 160, 1, 3), str(data_csv))
-    code, stdout, err = run_cli(
-        capsys, "eval", str(out_dir / "checkpoint.mlfckpt"), "--data", str(data_csv), "--naive-baseline"
-    )
+    code, stdout, err = run_cli(capsys, "eval", str(out_dir / "checkpoint.mlfckpt"), "--data", str(data_csv))
     assert code == 0, err
-    payload = json.loads(stdout[: stdout.rindex("}") + 1])
-    assert payload["normalized"]["mse"] == pytest.approx(final["test"]["mse"], rel=1e-12)
-    assert payload["naive_normalized"]["mse"] == pytest.approx(final["naive"]["mse"], rel=1e-12)
+    assert json.loads(stdout) == final["test"]
 
 
 def test_eval_attention_export_shape(trained, tmp_path, capsys):
@@ -236,22 +237,9 @@ def test_forecast_rejects_short_history(trained, tmp_path, capsys):
     assert "error[data]" in err
 
 
-def test_forecast_horizon_mismatch(trained, tmp_path, capsys):
-    _, out_dir = trained
-    from mlf.synth import generate, write_csv
-
-    hist_csv = tmp_path / "hist.csv"
-    write_csv(generate("trend", 30, 1, 3), str(hist_csv))
-    code, _, err = run_cli(
-        capsys, "forecast", str(out_dir / "checkpoint.mlfckpt"), "--data", str(hist_csv),
-        "--horizon", "5",
-    )
-    assert code == 1 and "error[usage]" in err
-
-
 def write_history(path, n_steps=30, *, cell=None, name=None):
     """A 1-channel trend history; `cell` replaces the value on file line n_steps // 2 + 1,
-    `name` the column name."""
+    `name` the column name. Returns the path."""
     from mlf.synth import generate, write_csv
 
     write_csv(generate("trend", n_steps, 1, 3), str(path))
@@ -261,6 +249,7 @@ def write_history(path, n_steps=30, *, cell=None, name=None):
     if cell is not None:
         rows[n_steps // 2][1] = cell
     Path(path).write_text("".join(",".join(row) + "\n" for row in rows))
+    return str(path)
 
 
 def assert_one_data_error(code, err, *needles):
@@ -370,3 +359,89 @@ def test_retrain_from_snapshot_reproduces_checkpoint(trained, tmp_path, capsys):
     a = load_checkpoint(str(out_dir / "checkpoint.mlfckpt"))
     b = load_checkpoint(str(rerun_dir / "checkpoint.mlfckpt"))
     assert a == b
+
+
+def save_toy_checkpoint(path, normalization, **model_fields):
+    """A checkpoint of an untrained toy model, saved without a run or data record."""
+    from mlf.checkpoint import Checkpoint, save_checkpoint
+    from mlf.model import MlfConfig, build_model
+
+    cfg = MlfConfig.from_dict(dict(TOY_MODEL, **model_fields))
+    save_checkpoint(str(path), Checkpoint(cfg.to_dict(), build_model(cfg).state_arrays(), normalization))
+    return str(path)
+
+
+TOY_NORM = {"channels": ["trend_0"], "mean": [0.0], "std": [1.0]}
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "code, argv, needle",
+    [
+        ("io", lambda tmp: ["train", str(tmp / "missing.json")], "cannot read config"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{not json")], "is not valid JSON"),
+        ("config", lambda tmp: ["train", config_file(tmp, "[1, 2]")], "must be a JSON object"),
+        ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": 3})), "--set", "model.horizon=2"],
+         "crosses a non-object value"),
+        ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "model.horizon"], "expects dotted.key=value"),
+        ("usage", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM, use_lwi=False),
+                               "--data", write_history(tmp / "d.csv", 160),
+                               "--export-weights", str(tmp / "w.csv")], "requires the learned-integration head"),
+        ("checkpoint", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", None),
+                                    "--data", write_history(tmp / "d.csv")],
+         "carries no normalization statistics"),
+        ("data", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
+                              "--data", write_history(tmp / "d.csv", 6)],
+         "need at least 8 history rows, file has 6"),
+    ],
+    ids=["io", "config-json", "config-object", "config-set-path", "usage-set", "usage-export", "checkpoint", "data"],
+)
+def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
+    status, out, err = run_cli(capsys, *argv(tmp_path))
+    assert status == 1
+    assert err.startswith(f"error[{code}]:") and err.count("\n") == 1, err
+    assert needle in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "override, needle",
+    [
+        ("model.period_lengths=5", "model.period_lengths must be a list of integers, got 5"),
+        ('model.horizon="x"', "model.horizon must be an integer, got 'x'"),
+        ("model.epochs=1.5", "model.epochs must be an integer, got 1.5"),
+        ("model.period_lengths=[1]", "positive and the longest >= 2"),
+    ],
+    ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one"],
+)
+def test_mistyped_model_field_is_one_config_error_line(toy_run, capsys, override, needle):
+    path, out_dir = toy_run
+    code, out, err = run_cli(capsys, "train", str(path), "--set", override)
+    assert code == 1
+    assert err.startswith("error[config]:") and err.count("\n") == 1 and needle in err, err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, split",
+    [
+        (["dataset.split.ratios=[0,1,1]"], "train"),
+        # Periods 4/8 and horizon 8 on 30 rows: the test rows 24..30 hold no 8-step target.
+        (["dataset.synthetic.n_steps=30", "model.horizon=8"], "test"),
+    ],
+    ids=["train", "test"],
+)
+def test_split_without_a_window_fails_before_training(toy_run, capsys, overrides, split):
+    path, out_dir = toy_run
+    argv = ["train", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_data_error(code, err, f"the {split} split")
+    assert out == ""  # no epoch ran
+    assert not (out_dir / "checkpoint.mlfckpt").exists()

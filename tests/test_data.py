@@ -73,10 +73,7 @@ def test_load_fund_csv_separates_flags(tmp_path):
     )
     ds = load_fund_csv(str(path))
     assert ds.channel_names == ["apply_amt", "redeem_amt"]
-    assert ds.values.shape == (3, 2)
-    assert set(ds.aux) == {"is_trad", "holiday_num"}
-    assert np.array_equal(ds.aux["holiday_num"], [0, 2]) is False  # 3 rows kept
-    assert np.array_equal(ds.aux["holiday_num"], [0, 0, 2])
+    assert np.array_equal(ds.values, [[10, 5], [11, 6], [12, 7]])
 
 
 # -- splitting -----------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlf.autograd import Tensor, grad_check, mean_all
+from mlf.autograd import Tensor, backward, grad_check, mean_all
 from mlf.layers import ParamStore
 from mlf.lwi import WeightIntegrator, integrate, integrate_plain
 
@@ -78,6 +78,18 @@ def test_integrate_plain_mean_when_weights_are_one():
     f = [Tensor(np.array([[2.0]])), Tensor(np.array([[4.0]]))]
     out = integrate(f, att_rows([1.0], [1.0]))
     assert out.data.reshape(()) == pytest.approx(3.0)
+
+
+def test_unit_weights_give_integrate_plain_bit_for_bit():
+    rng = np.random.default_rng(7)
+    data = [rng.standard_normal((4, 5)) for _ in range(3)]
+    runs = []
+    for weighted in (True, False):
+        fs = [Tensor(d.copy(), requires_grad=True) for d in data]
+        out = integrate(fs, Tensor(np.ones((4, 3, 5)))) if weighted else integrate_plain(fs)
+        backward(mean_all(out * out))
+        runs.append([out.data] + [f.grad for f in fs])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_integrate_drops_zero_weighted_period():

@@ -60,6 +60,12 @@ def test_config_defaults_match_contract():
         (dict(period_lengths=(8,), horizon=1, d_model=6, n_heads=4), "n_heads"),
         (dict(period_lengths=(8,), horizon=1, n_blocks=0), "n_blocks"),
         (dict(period_lengths=(4, 8), horizon=1, use_map=False), "too short for fixed patching"),
+        (dict(period_lengths=5, horizon=1), "period_lengths must be a list of integers, got 5"),
+        (dict(period_lengths=(8,), horizon="x"), "horizon must be an integer, got 'x'"),
+        (dict(period_lengths=(8,), horizon=1, epochs=1.5), "epochs must be an integer, got 1.5"),
+        (dict(period_lengths=(8,), horizon=1, use_lwi=1), "use_lwi must be true or false"),
+        (dict(period_lengths=(1,), horizon=1), "the longest >= 2"),
+        (dict(period_lengths=(8,), horizon=1, learning_rate=10**400), "learning_rate must be a finite number"),
     ],
 )
 def test_config_validation(kwargs, match):

@@ -127,7 +127,8 @@ def test_overfit_single_input_reconstruction():
         loss_value = float(loss.data)
         if loss_value < 1e-4:
             break
-        adam.zero_grad()
+        for p in st.params.values():
+            p.zero_grad()
         backward(loss)
         adam.step()
     assert loss_value < 1e-4, loss_value

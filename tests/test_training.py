@@ -5,7 +5,7 @@ import pytest
 
 from mlf import autograd, cli
 from mlf.checkpoint import Checkpoint, save_checkpoint
-from mlf.data import split_dataset, standardize
+from mlf.data import DataError, SplitRanges, split_dataset, standardize
 from mlf.model import build_model, mlf_loss
 from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, evaluate, train, sample_index, validation_loss
@@ -114,16 +114,28 @@ def test_evaluate_reports_both_units(tiny_config, tiny_dataset):
     ds, split = tiny_dataset
     model = build_model(tiny_config, seed=0)
     train(model, ds, split, seed=0)
-    result = evaluate(model, ds, split, "test", naive_baseline=True)
+    result = evaluate(model, ds, split, "test")
     assert result.report_normalized.units == "normalized"
     assert result.report_original.units == "original"
-    assert result.naive_normalized is not None
+    assert result.naive_normalized.units == "normalized"
+    assert result.naive_normalized.n_samples == result.report_normalized.n_samples
     assert result.predictions.shape == result.targets.shape
     # Original-unit predictions differ from normalized ones by the stored stats.
     c = result.channels[0]
     denorm = result.predictions[0] * ds.norm.std[c] + ds.norm.mean[c]
     assert result.report_original.mse >= 0.0
     assert np.isfinite(denorm).all()
+
+
+def test_a_split_without_windows_is_a_data_error(tiny_config, tiny_dataset):
+    ds, _ = tiny_dataset
+    model = build_model(tiny_config, seed=0)
+    no_test = SplitRanges((0, 120), (120, 160), (160, 160))
+    with pytest.raises(DataError, match="split 'test' has no complete windows"):
+        evaluate(model, ds, no_test, "test")
+    no_train = SplitRanges((0, 0), (0, 80), (80, 160))
+    with pytest.raises(DataError, match="train split has no complete windows"):
+        train(model, ds, no_train, seed=0)
 
 
 def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset):

@@ -1,0 +1,109 @@
+"""Bitwise parity of seeded outputs: prints one JSON line of SHA-256 digests.
+
+    python3 tools/parity.py
+
+Run it from the root of one tree, then from the root of another (for example
+the parent commit exported with `git archive` into a temporary directory),
+and compare the two lines: equal lines mean that the two trees train, score,
+save and forecast to the same bits. The `src` of the tree that holds this
+file is imported, whatever the working directory.
+
+It covers the desk config on regime-switching data and the paper-default
+config on 7-channel seasonal data, each as base and `w/o lwi`, with short
+step-capped runs. For each it digests the train step losses, the epoch train
+and validation losses, `validation_loss` after training, the `evaluate`
+predictions, LWI weight mean and attention mean, the checkpoint bytes, and
+the CSV bytes that `mlf forecast` writes from that checkpoint.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+# One BLAS thread on both trees, set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from mlf import cli, training  # noqa: E402
+from mlf.checkpoint import save_checkpoint  # noqa: E402
+from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
+from mlf.model import MlfConfig, apply_ablation, build_model  # noqa: E402
+from mlf.synth import regime_switching, seasonal_multichannel, write_csv  # noqa: E402
+
+DESK = MlfConfig(
+    period_lengths=(8, 24, 64), horizon=4, n_patches=8, squeeze_factor=2, d_model=8, n_heads=4,
+    n_blocks=2, d_ff=16, conv_filters=8, learning_rate=1e-3, batch_size=64, epochs=3, max_steps=40,
+)
+PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24, batch_size=32, epochs=2, max_steps=3)
+
+CASES = {
+    "desk": (DESK, lambda: regime_switching(1500, 1, seed=7, fast_amp=2.5, mean_dwell=50, noise=0.03,
+                                            calm_noise=0.25)),
+    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7)),
+}
+SEED = 3
+
+
+def digest(value) -> str:
+    if isinstance(value, bytes):
+        blob = value
+    elif value is None:
+        blob = b"null"
+    else:
+        blob = np.ascontiguousarray(value, dtype=np.float64).tobytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
+    split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    ds = standardize(raw, split)
+    model = build_model(cfg, seed=SEED)
+    result = training.train(model, ds, split, seed=SEED)
+    val = training.validation_loss(model, ds, split, cfg)
+    ev = training.evaluate(model, ds, split, "test", collect_attention=True)
+
+    ckpt = work / "model.mlfckpt"
+    record = cli.data_record(raw)
+    save_checkpoint(str(ckpt), cli.make_checkpoint(model, ds, {"seed": SEED, "dataset": {}}, record))
+    history, out = work / "history.csv", work / "forecast.csv"
+    tail = max(cfg.period_lengths) + 16
+    write_csv(SeriesDataset(raw.channel_names, raw.values[-tail:], raw.timestamps[-tail:]), str(history))
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        code = cli.main(["forecast", str(ckpt), "--data", str(history), "--output", str(out)])
+    if code != 0:
+        raise SystemExit(f"mlf forecast exited {code}")
+    return {
+        "step_losses": digest(result.step_losses),
+        "epoch_losses": digest([(r.train_loss, r.val_loss) for r in result.records]),
+        "validation_loss": digest([val]),
+        "predictions": digest(ev.predictions),
+        "att_mean": digest(ev.att_mean),
+        "attention_mean": digest(ev.attention_mean),
+        "checkpoint": digest(ckpt.read_bytes()),
+        "forecast_csv": digest(out.read_bytes()),
+    }
+
+
+def main() -> None:
+    line = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (cfg, make_data) in CASES.items():
+            raw = make_data()
+            for variant, variant_cfg in (("base", cfg), ("w/o lwi", apply_ablation(cfg, "lwi"))):
+                work = Path(tmp) / f"{name}-{variant.replace('/', '')}"
+                work.mkdir()
+                for key, value in run_case(variant_cfg, raw, work).items():
+                    line[f"{name}/{variant}/{key}"] = value
+    print(json.dumps(line, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
