@@ -5,13 +5,16 @@ Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
 Writing the same state twice produces byte-identical files, which the
 reproducibility guarantee relies on. `load_checkpoint` is the one place that
 validates a header: every field its readers use has its type, or the load
-fails with a `CheckpointError`.
+fails with a `CheckpointError`. It reads the payload after the header once,
+into one writable buffer sized from the file, and each loaded tensor is an
+aligned view into that buffer, not a copy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +93,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: corrupt header: not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
-        payload = fh.read()
+        payload = bytearray(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0))
+        del payload[fh.readinto(payload) :]  # the file may have shrunk since fstat
     check_fields(path, header)
     arrays = {}
+    spans = []
     for spec in header["tensors"]:
         try:
             name, shape, start, nbytes = spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"]
@@ -107,8 +112,14 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{path}: tensor data for {name} at offset {start!r} is outside the {len(payload)} bytes "
                 "after the header (truncated or corrupt file)"
             )
-        flat = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=start)
-        arrays[name] = flat.reshape(shape).copy()
+        if start % 8:
+            raise CheckpointError(f"{path}: tensor data for {name} at offset {start} is not 8-byte aligned")
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=start).reshape(shape)
+        spans.append((start, start + nbytes, name))
+    spans.sort()
+    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+        if start < end:  # views of shared bytes would write into each other
+            raise CheckpointError(f"{path}: tensor data for {a} and {b} overlap")
     return Checkpoint(
         config=header["config"],
         arrays=arrays,

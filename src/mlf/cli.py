@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -35,7 +36,7 @@ from .data import (
     standardize,
 )
 from .metrics import MetricError
-from .model import ConfigError, MlfConfig, MlfModel, build_model
+from .model import ConfigError, MlfConfig, MlfModel, build_model, has_type
 from .training import DivergenceError, evaluate, train
 
 OUTPUT_DIR_ENV = "MLF_OUTPUT_DIR"
@@ -102,17 +103,51 @@ def read_dataset(path: str, fmt: str) -> SeriesDataset:
     raise ConfigError(f"dataset.format must be 'generic' or 'fund', got {fmt!r}")
 
 
+def int_at_least(least: int):
+    return lambda v: has_type(v, "int") and v >= least
+
+
+# Field of a run config's `dataset` section -> (test of a valid value, what a
+# valid value is). `check_dataset` applies each to the fields present.
+DATASET_FIELDS = {
+    "path": (lambda v: isinstance(v, str), "a string"),
+    "anchor_stride": (int_at_least(1), "an integer >= 1"),
+    "synthetic.kind": (lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),
+    "synthetic.n_steps": (int_at_least(1), "an integer >= 1"),
+    "synthetic.n_channels": (int_at_least(1), "an integer >= 1"),
+    "synthetic.seed": (int_at_least(0), "an integer >= 0"),
+    "split.scheme": (lambda v: v in ("ratio", "ett"), "'ratio' or 'ett'"),
+    "split.ratios": (
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(int_at_least(0), v)) and sum(v) > 0,
+        "a list of 3 integers >= 0 with a positive sum",
+    ),
+    "split.rows_per_month": (int_at_least(1), "an integer >= 1"),
+}
+
+
+def check_dataset(section: dict) -> None:
+    """The one check of a `dataset` section, from a run config or a
+    checkpoint's run record: a field of the wrong type or range is a
+    `ConfigError` that names it."""
+    for key in ("synthetic", "split"):
+        if not isinstance(section.get(key, {}), dict):
+            raise ConfigError(f"dataset.{key} must be an object, got {section[key]!r}")
+    for field, (valid, what) in DATASET_FIELDS.items():
+        parent, _, key = field.rpartition(".")
+        node = section.get(parent, {}) if parent else section
+        if key in node and not valid(node[key]):
+            raise ConfigError(f"dataset.{field} must be {what}, got {node[key]!r}")
+
+
 def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
     section = raw.get("dataset")
     if not isinstance(section, dict):
         raise ConfigError("missing required config section: dataset")
+    check_dataset(section)
     if "synthetic" in section:
         spec = section["synthetic"]
         ds = synth.generate(
-            spec.get("kind", "trend"),
-            int(spec.get("n_steps", 2000)),
-            int(spec.get("n_channels", 1)),
-            int(spec.get("seed", 0)),
+            spec.get("kind", "trend"), spec.get("n_steps", 2000), spec.get("n_channels", 1), spec.get("seed", 0)
         )
     elif "path" in section:
         ds = read_dataset(section["path"], section.get("format", "generic"))
@@ -122,13 +157,13 @@ def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
 
 
 def split_from(section: dict, ds: SeriesDataset, cfg: MlfConfig):
-    spec = section.get("split", {"scheme": "ratio"})
-    scheme = spec.get("scheme", "ratio")
+    """The split of a checked `dataset` section."""
+    spec = section.get("split", {})
     return split_dataset(
         ds,
-        scheme,
+        spec.get("scheme", "ratio"),
         ratios=tuple(spec.get("ratios", (7, 1, 2))),
-        rows_per_month=int(spec.get("rows_per_month", 720)),
+        rows_per_month=spec.get("rows_per_month", 720),
         min_history=max(cfg.period_lengths),
         horizon=cfg.horizon,
     )
@@ -182,7 +217,7 @@ def cmd_train(args) -> int:
             )
 
         result = train(
-            model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=int(section.get("anchor_stride", 1))
+            model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=section.get("anchor_stride", 1)
         )
         test = evaluate(model, ds, split, "test", fund_style=section.get("format") == "fund")
         final = {
@@ -215,9 +250,17 @@ def make_checkpoint(model: MlfModel, ds: SeriesDataset, raw: dict, record: dict)
 
 
 def restore_model(ckpt: Checkpoint) -> MlfModel:
-    model = build_model(MlfConfig.from_dict(ckpt.config), seed=0)
+    """The checkpoint's model, built from its arrays: no weight is drawn and
+    no array is copied. The model's parameters are the arrays of
+    `ckpt.arrays`, so training the model writes into them; restore a
+    `Checkpoint` once for training, and load the file again for a second
+    model to train."""
+    cfg = MlfConfig.from_dict(ckpt.config)
     try:
-        model.load_state_arrays(ckpt.arrays)
+        model = MlfModel(cfg, state=ckpt.arrays)
+        extra = set(ckpt.arrays) - set(model.params) - set(model.buffers)
+        if extra:
+            raise ShapeError(f"state mismatch: unexpected {sorted(extra)}")
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from None
     return model
@@ -239,6 +282,11 @@ def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    section = ckpt.meta.get("run", {}).get("dataset", {})
+    try:
+        check_dataset(section)
+    except ConfigError as exc:
+        raise CheckpointError(f"{args.checkpoint}: corrupt header: meta.run.{exc}") from None
     model = restore_model(ckpt)
     cfg = model.config
     ds = read_dataset(args.data, args.format)
@@ -252,7 +300,7 @@ def cmd_eval(args) -> int:
             f"(sha256 {found['sha256'][:12]}), training data had {trained_on['rows']} rows "
             f"(sha256 {trained_on['sha256'][:12]})"
         )
-    split = split_from(ckpt.meta.get("run", {}).get("dataset", {}), ds, cfg)
+    split = split_from(section, ds, cfg)
     ds = apply_checkpoint_norm(ds, ckpt)
     result = evaluate(
         model,
@@ -333,7 +381,10 @@ def cmd_synth_data(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was (`append` copies its default list before adding to it)."""
     parser = argparse.ArgumentParser(prog="mlf", description="Multi-period time-series forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,45 +4,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, add, batch_norm, matmul
+from .autograd import ShapeError, Tensor, add, batch_norm, matmul
 
 
 class ParamStore:
     """Flat name -> Tensor registry for parameters plus non-trainable buffers.
 
-    Construction order is the draw order from the init RNG, so a fixed seed
-    reproduces every weight bit for bit; the same names key checkpoints and
-    optimizer state.
+    A store either draws each array from `rng` or takes it from `state`.
+    Drawing, construction order is the draw order from the init RNG, so a
+    fixed seed reproduces every weight bit for bit. Taking, each array is the
+    state's own array for that name, checked against the requested shape and
+    registered without a copy; a missing name or a wrong shape raises
+    `ShapeError`. The same names key checkpoints and optimizer state.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator | None = None, state: dict[str, np.ndarray] | None = None):
+        if (rng is None) == (state is None):
+            raise ValueError("a ParamStore takes either an init rng or a state dict")
         self.rng = rng
+        self.state = state
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def _register(self, name: str, array: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
+    def _array(self, name: str, shape: tuple[int, ...], draw) -> np.ndarray:
+        if name in self.params or name in self.buffers:
+            raise ValueError(f"duplicate name {name!r}")
+        if self.state is None:
+            return np.asarray(draw(), dtype=np.float64)
+        if name not in self.state:
+            raise ShapeError(f"state mismatch: missing {name!r}")
+        array = np.asarray(self.state[name], dtype=np.float64)
+        if array.shape != tuple(shape):
+            raise ShapeError(f"parameter {name}: shape {array.shape} != {tuple(shape)}")
+        return array
+
+    def _register(self, name: str, shape: tuple[int, ...], draw) -> Tensor:
+        t = Tensor(self._array(name, shape, draw), requires_grad=True)
         self.params[name] = t
         return t
 
     def uniform(self, name: str, shape: tuple[int, ...], bound: float) -> Tensor:
-        return self._register(name, self.rng.uniform(-bound, bound, size=shape))
+        return self._register(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
 
     def normal(self, name: str, shape: tuple[int, ...], std: float) -> Tensor:
-        return self._register(name, std * self.rng.standard_normal(shape))
+        return self._register(name, shape, lambda: std * self.rng.standard_normal(shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._register(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._register(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
     def buffer(self, name: str, array: np.ndarray) -> np.ndarray:
-        if name in self.buffers:
-            raise ValueError(f"duplicate buffer name {name!r}")
-        arr = np.asarray(array, dtype=np.float64)
+        arr = self._array(name, np.shape(array), lambda: array)
         self.buffers[name] = arr
         return arr
 

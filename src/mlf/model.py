@@ -214,12 +214,14 @@ class MlfModel:
     before the last, for periods shorter than the longest, whose estimates
     filter the next block's input. Each block's attention is four tensors:
     per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
+    Given `state` in place of `rng`, the model takes every array from it and
+    draws nothing (see `ParamStore`).
     """
 
-    def __init__(self, config: MlfConfig, rng: np.random.Generator):
+    def __init__(self, config: MlfConfig, rng: np.random.Generator | None = None, *, state: dict | None = None):
         self.config = config
         self.geometries = period_geometries(config)
-        store = ParamStore(rng)
+        store = ParamStore(rng, state)
         self.store = store
         cfg = config
 
@@ -313,12 +315,11 @@ class MlfModel:
         extra = set(state) - expected
         if missing or extra:
             raise ShapeError(f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for name, p in self.params.items():
-            if p.data.shape != state[name].shape:
-                raise ShapeError(f"parameter {name}: shape {state[name].shape} != {p.data.shape}")
-            p.data[...] = state[name]
-        for name, b in self.buffers.items():
-            b[...] = state[name]
+        targets = {name: p.data for name, p in self.params.items()} | self.buffers
+        for name, target in targets.items():
+            if target.shape != np.shape(state[name]):
+                raise ShapeError(f"parameter {name}: shape {np.shape(state[name])} != {target.shape}")
+            target[...] = state[name]
 
     # -- forward --------------------------------------------------------------
 

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from mlf import cli
+from mlf import model as mmodel
+from mlf.autograd import ShapeError, backward
 from mlf.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from mlf.model import build_model
+from mlf.model import build_model, mlf_loss
+from mlf.optim import Adam
 
 
 def sample_checkpoint(seed=0):
@@ -94,8 +97,11 @@ def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
         ({"nbytes": 32.0}, "shape [4] but 32.0 bytes"),
         ({"shape": [True, 4]}, "shape [True, 4] but 32 bytes"),
         ({"name": ["b"]}, "the name is not a string"),
+        ({"offset": 4}, "tensor data for b at offset 4 is not 8-byte aligned"),
+        ({"offset": 8}, "tensor data for b and w overlap"),  # "w" starts at byte 32
     ],
-    ids=["negative-offset", "text-offset", "negative-dims", "text-dim", "float-nbytes", "bool-dim", "list-name"],
+    ids=["negative-offset", "text-offset", "negative-dims", "text-dim", "float-nbytes", "bool-dim", "list-name",
+         "unaligned-offset", "overlapping"],
 )
 def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_path, capsys, entry, needle):
     path = str(tmp_path / "entry.ckpt")
@@ -120,14 +126,89 @@ def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsy
     assert err.count("\n") == 1
 
 
-def test_tensors_that_do_not_fit_the_config_fail_with_one_checkpoint_error_line(tmp_path, capsys):
-    path = str(tmp_path / "misfit.ckpt")
-    save_checkpoint(path, sample_checkpoint())  # tensors "w" and "b" belong to no model
-    code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error[checkpoint]: checkpoint tensors do not fit its config: state mismatch")
-    assert err.count("\n") == 1
+def model_checkpoint(cfg, seed=4):
+    """A checkpoint of a seeded, untrained model of `cfg`."""
+    norm = {"channels": ["a"], "mean": [0.0], "std": [1.0]}
+    return Checkpoint(config=cfg.to_dict(), arrays=build_model(cfg, seed=seed).state_arrays(), normalization=norm)
+
+
+def test_tensors_that_do_not_fit_the_config_fail_with_one_checkpoint_error_line(tiny_config, tmp_path, capsys):
+    def edit(fn):
+        ckpt = model_checkpoint(tiny_config)
+        fn(ckpt.arrays)
+        return ckpt
+
+    cases = {
+        # tensors "w" and "b" belong to no model
+        "foreign": (sample_checkpoint(), "state mismatch: missing 'embed.p0.proj'"),
+        "missing": (edit(lambda a: a.pop("lwi.theta2")), "state mismatch: missing 'lwi.theta2'"),
+        "extra": (edit(lambda a: a.update({"extra.w": np.zeros(3)})), "state mismatch: unexpected ['extra.w']"),
+        "wrong-shape": (edit(lambda a: a.update({"embed.p0.proj": a["embed.p0.proj"].T})),
+                        "parameter embed.p0.proj: shape (2, 4) != (4, 2)"),
+        "buffer-shape": (edit(lambda a: a.update({"lwi.bn.running_mean": np.zeros(5)})),
+                         "parameter lwi.bn.running_mean: shape (5,) != (4,)"),
+    }
+    for case, (ckpt, needle) in cases.items():
+        path = str(tmp_path / f"{case}.ckpt")
+        save_checkpoint(path, ckpt)
+        code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
+        err = capsys.readouterr().err
+        assert code == 1, case
+        assert err == f"error[checkpoint]: checkpoint tensors do not fit its config: {needle}\n", case
+    # load_state_arrays, which training uses, checks buffers as restore does
+    state = cases["buffer-shape"][0].arrays
+    for wrong in (np.zeros(5), np.zeros(1)):
+        state["lwi.bn.running_mean"] = wrong
+        with pytest.raises(ShapeError, match=r"parameter lwi.bn.running_mean: shape \(\d,\) != \(4,\)"):
+            build_model(tiny_config).load_state_arrays(state)
+
+
+def test_restore_draws_nothing_and_forecasts_as_a_loaded_build(tiny_config, tmp_path, monkeypatch):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model_checkpoint(tiny_config))
+    built = build_model(tiny_config, seed=99)
+    built.load_state_arrays(load_checkpoint(path).arrays)
+
+    def no_draw(seed):
+        raise AssertionError("restore_model drew initial weights")
+
+    monkeypatch.setattr(mmodel, "seed_streams", no_draw)
+    ckpt = load_checkpoint(path)
+    restored = cli.restore_model(ckpt)
+    for name, array in ckpt.arrays.items():  # the model holds the checkpoint's arrays, not copies
+        held = restored.params[name].data if name in restored.params else restored.buffers[name]
+        assert held is array, name
+    rng = np.random.default_rng(0)
+    windows = [rng.standard_normal((3, n)) for n in tiny_config.period_lengths]
+    a = built.forward(windows, training=False).forecast.data
+    b = restored.forward(windows, training=False).forecast.data
+    assert np.array_equal(a, b)
+
+
+def test_loaded_arrays_are_aligned_writable_views_that_train_like_copies(tiny_config, tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model_checkpoint(tiny_config))
+    ckpt = load_checkpoint(path)
+    for name, array in ckpt.arrays.items():
+        assert array.flags.c_contiguous and array.flags.writeable and array.flags.aligned, name
+        assert array.ctypes.data % 8 == 0, name
+
+    built = build_model(tiny_config, seed=99)
+    built.load_state_arrays(load_checkpoint(path).arrays)
+    restored = cli.restore_model(ckpt)
+    rng = np.random.default_rng(1)
+    windows = [rng.standard_normal((5, n)) for n in tiny_config.period_lengths]
+    target = rng.standard_normal((5, tiny_config.horizon))
+    losses = []
+    for model in (built, restored):
+        loss = mlf_loss(model.forward(windows, training=True), target).total
+        backward(loss)
+        Adam(model.params, lr=tiny_config.learning_rate).step()
+        losses.append(float(loss.data))
+    assert losses[0] == losses[1]
+    after, before = built.state_arrays(), restored.state_arrays()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[k], before[k]) for k in after)
 
 
 def test_model_state_round_trip(tiny_config, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlf import cli
-from mlf.checkpoint import load_checkpoint
+from mlf.checkpoint import load_checkpoint, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -445,3 +445,49 @@ def test_split_without_a_window_fails_before_training(toy_run, capsys, overrides
     assert_one_data_error(code, err, f"the {split} split")
     assert out == ""  # no epoch ran
     assert not (out_dir / "checkpoint.mlfckpt").exists()
+
+
+def test_the_parser_is_built_once_and_keeps_no_override_between_calls(toy_run, tmp_path, capsys):
+    path, _ = toy_run
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(capsys, "train", str(path), "--output", str(first), "--set", "model.epochs=1")[0] == 0
+    assert run_cli(capsys, "train", str(path), "--output", str(second))[0] == 0
+    assert read_json(first / "resolved_config.json")["model"]["epochs"] == 1
+    assert read_json(second / "resolved_config.json")["model"]["epochs"] == TOY_MODEL["epochs"]
+
+
+BAD_DATASET_SECTIONS = {
+    "split-text": ({"split": "ratio"}, "dataset.split must be an object, got 'ratio'"),
+    "ratios-int": ({"split": {"ratios": 5}}, "dataset.split.ratios must be a list of 3 integers >= 0"),
+    "ratios-zero": ({"split": {"ratios": [0, 0, 0]}}, "dataset.split.ratios must be a list of 3 integers >= 0"),
+    "scheme-unknown": ({"split": {"scheme": "month"}}, "dataset.split.scheme must be 'ratio' or 'ett', got 'month'"),
+    "synthetic-int": ({"synthetic": 3}, "dataset.synthetic must be an object, got 3"),
+    "n-steps-text": ({"synthetic": {"n_steps": "x"}}, "dataset.synthetic.n_steps must be an integer >= 1, got 'x'"),
+    "kind-unknown": ({"synthetic": {"kind": "wave"}}, "dataset.synthetic.kind must be one of ["),
+    "stride-zero": ({"anchor_stride": 0}, "dataset.anchor_stride must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("section, needle", BAD_DATASET_SECTIONS.values(), ids=BAD_DATASET_SECTIONS.keys())
+def test_bad_dataset_field_is_one_config_error_line_from_train(toy_run, capsys, section, needle):
+    path, out_dir = toy_run
+    argv = ["train", str(path)]
+    for key, value in section.items():
+        argv += ["--set", f"dataset.{key}={json.dumps(value)}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error[config]: ") and err.count("\n") == 1 and needle in err, err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("section, needle", BAD_DATASET_SECTIONS.values(), ids=BAD_DATASET_SECTIONS.keys())
+def test_bad_dataset_field_is_one_checkpoint_error_line_from_eval(tmp_path, capsys, section, needle):
+    path = str(tmp_path / "bad.ckpt")
+    ckpt = load_checkpoint(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM))
+    ckpt.meta = {"run": {"seed": 0, "dataset": section}}
+    save_checkpoint(path, ckpt)
+    code, out, err = run_cli(capsys, "eval", path, "--data", write_history(tmp_path / "d.csv", 160))
+    assert code == 1
+    assert err.startswith(f"error[checkpoint]: {path}: corrupt header: meta.run.{needle}"), err
+    assert err.count("\n") == 1 and out == ""

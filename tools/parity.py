@@ -13,7 +13,10 @@ config on 7-channel seasonal data, each as base and `w/o lwi`, with short
 step-capped runs. For each it digests the train step losses, the epoch train
 and validation losses, `validation_loss` after training, the `evaluate`
 predictions, LWI weight mean and attention mean, the checkpoint bytes, and
-the CSV bytes that `mlf forecast` writes from that checkpoint.
+the CSV bytes that `mlf forecast` writes from that checkpoint. The restore
+path gets its own digests: the `evaluate` predictions of
+`cli.restore_model(load_checkpoint(...))`, and the step losses and final
+parameters of 3 more train steps run from that restored model.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from mlf import cli, training  # noqa: E402
-from mlf.checkpoint import save_checkpoint  # noqa: E402
+from mlf.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
 from mlf.model import MlfConfig, apply_ablation, build_model  # noqa: E402
 from mlf.synth import regime_switching, seasonal_multichannel, write_csv  # noqa: E402
@@ -80,6 +83,13 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
         code = cli.main(["forecast", str(ckpt), "--data", str(history), "--output", str(out)])
     if code != 0:
         raise SystemExit(f"mlf forecast exited {code}")
+
+    loaded = load_checkpoint(str(ckpt))
+    loaded.config["max_steps"] = 3  # the restored model trains 3 more steps
+    restored = cli.restore_model(loaded)
+    restored_ev = training.evaluate(restored, ds, split, "test")
+    more = training.train(restored, ds, split, seed=SEED)
+    state = restored.state_arrays()
     return {
         "step_losses": digest(result.step_losses),
         "epoch_losses": digest([(r.train_loss, r.val_loss) for r in result.records]),
@@ -89,6 +99,9 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
         "attention_mean": digest(ev.attention_mean),
         "checkpoint": digest(ckpt.read_bytes()),
         "forecast_csv": digest(out.read_bytes()),
+        "restored_predictions": digest(restored_ev.predictions),
+        "restored_step_losses": digest(more.step_losses),
+        "restored_state": digest(b"".join(state[name].tobytes() for name in sorted(state))),
     }
 
 
