@@ -1,12 +1,18 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A Tensor wraps a numpy array and, when it participates in a differentiable
-computation, records the operation that produced it (its parents plus a
-vector-Jacobian-product closure). `backward()` walks the recorded graph once
-in reverse topological order and accumulates gradients into the leaves that
-requested them. Inside `with no_grad():` nothing is recorded, as with
-`torch.no_grad`: inference forwards keep no graph and free each intermediate
-array as soon as it is no longer read.
+computation, records the operation that produced it in a tape entry: edges to
+its parents, a vector-Jacobian-product closure and the op name. `backward()`
+walks the recorded graph once in reverse topological order and accumulates
+gradients into the leaves that requested them. Inside `with no_grad():`
+nothing is recorded, as with `torch.no_grad`: inference forwards keep no
+graph and free each intermediate array as soon as it is no longer read.
+
+The tape keeps only what backward reads. An edge is the parent's tape entry,
+or the parent itself when it is a leaf, never a recorded output, and each vjp
+closes over exactly the arrays and shapes it reads (as PyTorch keeps only
+saved tensors in its graph). So an intermediate Tensor the caller drops
+frees its array while the graph lives, unless a vjp reads it.
 
 Only the primitives the multi-period forecasting model needs are provided:
 matmul (with stacked/batched broadcasting), elementwise arithmetic with
@@ -68,23 +74,70 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+class _Fn:
+    """The tape entry of one recorded output: its parent edges, vjp and op.
+
+    It holds no output data. Entries always need a gradient, so `backward`
+    treats an entry and a requires_grad leaf alike.
+    """
+
+    __slots__ = ("parents", "vjp", "op")
+    requires_grad = True
+
+    def __init__(self, parents: tuple = (), vjp=None, op: str = "leaf"):
+        self.parents = parents
+        self.vjp = vjp
+        self.op = op
+
+
 class Tensor:
     """Dense float64 array with optional participation in the gradient tape.
 
     `requires_grad` marks a leaf whose gradient should be accumulated by
-    `backward()`. Tensors produced by primitives carry their parents and a
-    VJP closure; users never construct those directly.
+    `backward()`. Tensors produced by primitives carry a tape entry (`_fn`);
+    users never construct those directly. `_parents`, `_vjp` and `_op` read
+    and write that entry.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self._op = "leaf"
+        self._fn: _Fn | None = None
+
+    # -- tape entry --------------------------------------------------------
+
+    def _entry(self) -> _Fn:
+        if self._fn is None:
+            self._fn = _Fn()
+        return self._fn
+
+    @property
+    def _parents(self) -> tuple:
+        """Parent edges: a recorded parent's `_Fn`, or a leaf parent itself."""
+        return self._fn.parents if self._fn is not None else ()
+
+    @_parents.setter
+    def _parents(self, parents) -> None:
+        self._entry().parents = tuple(p._fn or p for p in parents)
+
+    @property
+    def _vjp(self):
+        return self._fn.vjp if self._fn is not None else None
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._entry().vjp = vjp
+
+    @property
+    def _op(self) -> str:
+        return self._fn.op if self._fn is not None else "leaf"
+
+    @_op.setter
+    def _op(self, op: str) -> None:
+        self._entry().op = op
 
     # -- introspection -------------------------------------------------
 
@@ -163,9 +216,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-        out._op = op
+        out._fn = _Fn(tuple(p._fn or p for p in parents), vjp, op)
     return out
 
 
@@ -188,9 +239,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _node(data, (a, b), vjp, "add")
 
@@ -198,9 +250,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     data = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _node(data, (a, b), vjp, "sub")
 
@@ -208,10 +261,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     data = a.data * b.data
-    a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # da reads only b, and db only a.
+    a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
+        ga = _unbroadcast(g * b_data, a_shape) if need_a else None
+        gb = _unbroadcast(g * a_data, b_shape) if need_b else None
+        return ga, gb
 
     return _node(data, (a, b), vjp, "mul")
 
@@ -239,12 +297,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    # dA reads only B, and dB only A.
+    a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        ga = _unbroadcast(g @ b_data.swapaxes(-1, -2), a.shape) if need_a else None
-        gb = _unbroadcast(a_data.swapaxes(-1, -2) @ g, b.shape) if need_b else None
+        ga = _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape) if need_a else None
+        gb = _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape) if need_b else None
         return ga, gb
 
     return _node(data, (a, b), vjp, "matmul")
@@ -292,9 +352,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     data = a.data[index].copy()
+    shape = a.shape
 
     def vjp(g):
-        full = np.zeros(a.shape, dtype=np.float64)
+        full = np.zeros(shape, dtype=np.float64)
         full[index] = g
         return (full,)
 
@@ -351,17 +412,19 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
+
     def vjp(g):
-        return (np.full(a.shape, float(g), dtype=np.float64),)
+        return (np.full(shape, float(g), dtype=np.float64),)
 
     return _node(np.asarray(a.data.sum()), (a,), vjp, "sum")
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    n, shape = a.size, a.shape
 
     def vjp(g):
-        return (np.full(a.shape, float(g) / n, dtype=np.float64),)
+        return (np.full(shape, float(g) / n, dtype=np.float64),)
 
     return _node(np.asarray(a.data.mean()), (a,), vjp, "mean")
 
@@ -410,22 +473,25 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         bias = _lift(bias)
         out += bias.data[None, :, None]
         parents.append(bias)
-    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_x, need_w, has_bias = x.requires_grad, weight.requires_grad, bias is not None
+    # dx reads only the weight, and dw only the padded input.
+    pad_shape, w_shape = xpad.shape, w_data.shape
+    xpad, w_data = (xpad if need_w else None), (w_data if need_x else None)
 
     def vjp(g):
         gx = None
         if need_x:
-            gpad = np.zeros_like(xpad)
+            gpad = np.zeros(pad_shape, dtype=np.float64)
             for j in range(k):
                 gpad[:, :, j : j + t] += np.einsum("fc,bft->bct", w_data[:, :, j], g)
             gx = gpad[:, :, pad : pad + t]
         gw = None
         if need_w:
-            gw = np.empty_like(w_data)
+            gw = np.empty(w_shape, dtype=np.float64)
             for j in range(k):
                 gw[:, :, j] = np.einsum("bft,bct->fc", g, xpad[:, :, j : j + t])
         grads = [gx, gw]
-        if bias is not None:
+        if has_bias:
             grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
 
@@ -504,15 +570,17 @@ def max_pool1d(x: Tensor) -> Tensor:
     if t < 2:
         raise ShapeError(f"max_pool1d needs T >= 2, got T={t}")
     t_out = t // 2
-    pairs = x.data[:, :, : 2 * t_out].reshape(batch, c, t_out, 2)
-    idx = pairs.argmax(axis=-1)
-    out = np.take_along_axis(pairs, idx[..., None], axis=-1)[..., 0]
-    # Flat positions of the winners in the original last axis.
-    positions = np.arange(t_out)[None, None, :] * 2 + idx
+    left, right = x.data[:, :, 0 : 2 * t_out : 2], x.data[:, :, 1 : 2 * t_out : 2]
+    # argmax's pick of each pair: the right one wins only when the left is not
+    # NaN and is not >= it, so the first of equal values and the first NaN win.
+    take_right = ~(left >= right)
+    take_right &= left == left
+    out = np.where(take_right, right, left)
 
     def vjp(g):
-        dx = np.zeros((batch, c, t), dtype=np.float64)
-        np.put_along_axis(dx, positions, g, axis=-1)
+        dx = np.zeros((batch, c, t), dtype=np.float64)  # an odd last column gets none
+        dx[:, :, 0 : 2 * t_out : 2] = np.where(take_right, 0.0, g)
+        dx[:, :, 1 : 2 * t_out : 2] = np.where(take_right, g, 0.0)
         return (dx,)
 
     return _node(out, (x,), vjp, "max_pool1d")
@@ -524,18 +592,23 @@ def max_pool1d(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf below `loss`.
 
-    Repeated calls without clearing grads add up. Adjoints live in a
-    per-pass table, so each node is processed exactly once per call.
+    The graph is the tape entries below `loss`: for each recorded output, the
+    edges to its parents (their entries, or the leaves themselves) and a vjp
+    closed over the arrays it reads; no output's data is kept. Repeated calls
+    without clearing grads add up, since the walk frees nothing. Adjoints live
+    in a per-pass table, so each node is processed exactly once per call.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any requires_grad tensor")
 
-    # Iterative post-order DFS; parents tuples keep the order deterministic.
-    topo: list[Tensor] = []
+    # Iterative post-order DFS over entries and leaves; parent edges keep the
+    # order deterministic.
+    root = loss._fn or loss
+    topo: list[_Fn | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Fn | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -545,19 +618,20 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen and parent.requires_grad:
-                stack.append((parent, False))
+        if isinstance(node, _Fn):
+            for parent in node.parents:
+                if id(parent) not in seen and parent.requires_grad:
+                    stack.append((parent, False))
 
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.is_leaf():
+        if isinstance(node, Tensor):
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

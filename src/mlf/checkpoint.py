@@ -93,8 +93,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: corrupt header: not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
-        payload = bytearray(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0))
-        del payload[fh.readinto(payload) :]  # the file may have shrunk since fstat
+        payload = np.empty(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0), np.uint8)  # no zero fill
+        payload = payload[: fh.readinto(payload)]  # the file may have shrunk since fstat
     check_fields(path, header)
     arrays = {}
     spans = []

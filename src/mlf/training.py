@@ -106,6 +106,9 @@ def train(
             order = order[: (max_steps - step) * cfg.batch_size]
         epoch_loss = 0.0
         for _, windows, targets in batches(ds, cfg, channels[order], anchors[order]):
+            # One step's graph and gradients at a time: the last step's are
+            # gone before this forward starts.
+            model.zero_grad()
             bundle = model.forward(windows, training=True)
             loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
             value = float(loss.total.data)
@@ -113,8 +116,8 @@ def train(
                 raise DivergenceError(step)
             step_losses.append(value)
             epoch_loss += value * targets.shape[0]
-            model.zero_grad()
             backward(loss.total)
+            del bundle, loss
             if cfg.grad_clip:
                 clip_global_norm(model.params, cfg.grad_clip)
             optimizer.step()

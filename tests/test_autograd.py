@@ -1,6 +1,8 @@
 """Primitive-level checks for the autodiff engine: hand examples, finite
 differences over many random seeds, and a sum-over-paths reference for DAGs."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,34 @@ def test_max_pool_hand_case():
     assert np.array_equal(out.data, [[[-2.0, 3.0]]])
 
 
+def _argmax_pool_reference(x, g):
+    """max_pool1d's output and input gradient by argmax over each pair."""
+    b, c, t = x.shape
+    pairs = x[:, :, : t // 2 * 2].reshape(b, c, t // 2, 2)
+    idx = pairs.argmax(axis=-1)
+    dx = np.zeros(x.shape)
+    np.put_along_axis(dx, np.arange(t // 2) * 2 + idx, g, axis=-1)
+    return np.take_along_axis(pairs, idx[..., None], axis=-1)[..., 0], dx
+
+
+def test_max_pool_picks_argmax_winner_with_ties_nan_and_odd_length():
+    set_nan_guard(False)  # NaN inputs on purpose; the fixture restores the guard
+    rng = np.random.default_rng(11)
+    x = rng.integers(-2, 3, size=(3, 4, 9)).astype(np.float64)  # many ties, odd T
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(np.float64)
+    x[0, 0, :8] = [nan_a, 1.0, 1.0, nan_b, nan_a, nan_b, 2.0, 2.0]
+    x[0, 1, :4] = [-0.0, 0.0, 0.0, -0.0]  # equal values: the first wins, sign and all
+    g = rng.standard_normal((3, 4, 4))
+    expected_out, expected_dx = _argmax_pool_reference(x, g)
+
+    xt = Tensor(x.copy(), requires_grad=True)
+    out = max_pool1d(xt)
+    backward(sum_all(mul(out, Tensor(g))))
+    assert np.array_equal(out.data.view(np.int64), expected_out.view(np.int64))
+    assert np.array_equal(xt.grad.view(np.int64), expected_dx.view(np.int64))
+    assert not xt.grad[..., -1].any()  # the odd last column is in no pair
+
+
 def test_conv_norm_pool_shape_and_degenerate_input():
     rng = np.random.default_rng(3)
     w = Tensor(rng.standard_normal((4, 1, 3)))
@@ -241,6 +271,24 @@ def test_no_grad_is_restored_after_an_exception():
             raise RuntimeError("raised inside no_grad")
     y = mul(x, x)
     assert y.requires_grad and y._parents == (x, x)
+
+
+def test_a_dropped_intermediate_is_freed_while_its_graph_lives():
+    rng = np.random.default_rng(12)
+    x, w, b = Tensor(rng.standard_normal((5, 4))), leaf(rng, 4, 3), leaf(rng, 3)
+    h = matmul(x, w)
+    backward(sum_all(tanh(h + b)))
+    expected = w.grad.copy(), b.grad.copy()
+    w.zero_grad()
+    b.zero_grad()
+
+    h = matmul(x, w)
+    probe = weakref.ref(h.data)
+    loss = sum_all(tanh(h + b))  # the add's vjp reads no array of h
+    del h
+    assert probe() is None
+    backward(loss)
+    assert np.array_equal(w.grad, expected[0]) and np.array_equal(b.grad, expected[1])
 
 
 def test_backward_through_small_network():

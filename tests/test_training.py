@@ -1,12 +1,14 @@
 """Training loop: learning, determinism, checkpoint selection, divergence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from mlf import autograd, cli
 from mlf.checkpoint import Checkpoint, save_checkpoint
 from mlf.data import DataError, SplitRanges, split_dataset, standardize
-from mlf.model import build_model, mlf_loss
+from mlf.model import MlfModel, build_model, mlf_loss
 from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, evaluate, train, sample_index, validation_loss
 from mlf.data import gather_batch
@@ -24,6 +26,30 @@ def test_training_reduces_loss(tiny_config, tiny_dataset):
     assert result.records[-1].train_loss < result.records[0].train_loss
     assert len(result.records) == cfg.epochs
     assert result.best_epoch >= 1
+
+
+def test_train_keeps_one_step_graph_at_a_time(tiny_config, tiny_dataset, monkeypatch):
+    """No forward starts while the last training step's forecast or any
+    gradient is alive."""
+    ds, split = tiny_dataset
+    forward = MlfModel.forward
+    last = {"forecast": lambda: None}
+    steps, stale = [], []
+
+    def watched(self, windows, *, training, **kwargs):
+        if last["forecast"]() is not None:
+            stale.append(("forecast", len(steps)))
+        if training and any(p.grad is not None for p in self.params.values()):
+            stale.append(("gradient", len(steps)))
+        bundle = forward(self, windows, training=training, **kwargs)
+        if training:
+            steps.append(1)
+            last["forecast"] = weakref.ref(bundle.forecast.data)
+        return bundle
+
+    monkeypatch.setattr(MlfModel, "forward", watched)
+    train(build_model(tiny_config, seed=0), ds, split, seed=0)
+    assert len(steps) > 2 and stale == []
 
 
 def test_fixed_seed_reproduces_loss_trajectory(tiny_config, tiny_dataset):

@@ -10,11 +10,13 @@ file is imported, whatever the working directory.
 
 It covers the desk config on regime-switching data and the paper-default
 config on 7-channel seasonal data, each as base and `w/o lwi`, with short
-step-capped runs. For each it digests the train step losses, the epoch train
-and validation losses, `validation_loss` after training, the `evaluate`
-predictions, LWI weight mean and attention mean, the checkpoint bytes, and
-the CSV bytes that `mlf forecast` writes from that checkpoint. The restore
-path gets its own digests: the `evaluate` predictions of
+step-capped runs. For each it digests the raw gradients of one `backward` on
+the first training batch of the freshly built model (before clipping and
+Adam), the train step losses, the epoch train and validation losses,
+`validation_loss` after training, the `evaluate` predictions, LWI weight
+mean and attention mean, the checkpoint bytes, and the CSV bytes that
+`mlf forecast` writes from that checkpoint. The restore path gets its own
+digests: the `evaluate` predictions of
 `cli.restore_model(load_checkpoint(...))`, and the step losses and final
 parameters of 3 more train steps run from that restored model.
 """
@@ -36,9 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from mlf import cli, training  # noqa: E402
+from mlf.autograd import backward  # noqa: E402
 from mlf.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
-from mlf.model import MlfConfig, apply_ablation, build_model  # noqa: E402
+from mlf.model import MlfConfig, apply_ablation, build_model, mlf_loss  # noqa: E402
 from mlf.synth import regime_switching, seasonal_multichannel, write_csv  # noqa: E402
 
 DESK = MlfConfig(
@@ -65,9 +68,22 @@ def digest(value) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def first_batch_gradients(cfg: MlfConfig, ds: SeriesDataset, split) -> bytes:
+    """Every parameter's gradient, by name, after one backward on the first
+    training batch of a freshly built model; `-` marks a parameter with none."""
+    model = build_model(cfg, seed=SEED)
+    channels, anchors = training.sample_index(ds, split.train, cfg)
+    _, windows, targets = next(training.batches(ds, cfg, channels, anchors))
+    backward(mlf_loss(model.forward(windows, training=True), targets,
+                      use_reconstruction=cfg.use_reconstruction_loss).total)
+    return b"".join(name.encode() + (b"-" if p.grad is None else p.grad.tobytes())
+                    for name, p in sorted(model.params.items()))
+
+
 def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = standardize(raw, split)
+    gradients = first_batch_gradients(cfg, ds, split)
     model = build_model(cfg, seed=SEED)
     result = training.train(model, ds, split, seed=SEED)
     val = training.validation_loss(model, ds, split, cfg)
@@ -91,6 +107,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     more = training.train(restored, ds, split, seed=SEED)
     state = restored.state_arrays()
     return {
+        "gradients": digest(gradients),
         "step_losses": digest(result.step_losses),
         "epoch_losses": digest([(r.train_loss, r.val_loss) for r in result.records]),
         "validation_loss": digest([val]),
