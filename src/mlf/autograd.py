@@ -18,7 +18,7 @@ Only the primitives the multi-period forecasting model needs are provided:
 matmul (with stacked/batched broadcasting), elementwise arithmetic with
 numpy-style broadcasting, softmax, tanh/sigmoid/relu, 1-d convolution,
 batch normalization, 1-d max pooling, reshape/transpose/concat/slicing,
-reductions, and mean-squared error.
+reductions, the mean over a list of tensors, and mean-squared error.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Tensor:
     `requires_grad` marks a leaf whose gradient should be accumulated by
     `backward()`. Tensors produced by primitives carry a tape entry (`_fn`);
     users never construct those directly. `_parents`, `_vjp` and `_op` read
-    and write that entry.
+    that entry, and `_vjp` may replace a recorded output's vjp.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_fn")
@@ -109,19 +109,10 @@ class Tensor:
 
     # -- tape entry --------------------------------------------------------
 
-    def _entry(self) -> _Fn:
-        if self._fn is None:
-            self._fn = _Fn()
-        return self._fn
-
     @property
     def _parents(self) -> tuple:
         """Parent edges: a recorded parent's `_Fn`, or a leaf parent itself."""
         return self._fn.parents if self._fn is not None else ()
-
-    @_parents.setter
-    def _parents(self, parents) -> None:
-        self._entry().parents = tuple(p._fn or p for p in parents)
 
     @property
     def _vjp(self):
@@ -129,15 +120,11 @@ class Tensor:
 
     @_vjp.setter
     def _vjp(self, vjp) -> None:
-        self._entry().vjp = vjp
+        self._fn.vjp = vjp
 
     @property
     def _op(self) -> str:
         return self._fn.op if self._fn is not None else "leaf"
-
-    @_op.setter
-    def _op(self, op: str) -> None:
-        self._entry().op = op
 
     # -- introspection -------------------------------------------------
 
@@ -173,14 +160,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
 
     def __mul__(self, other):
         return mul(self, _lift(other))
@@ -188,19 +169,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_lift(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _lift(other))
-
-    def transpose(self, axis1: int = -2, axis2: int = -1) -> "Tensor":
-        return transpose(self, axis1, axis2)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _lift(value) -> Tensor:
@@ -272,13 +242,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _node(data, (a, b), vjp, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (-g,)
-
-    return _node(-a.data, (a,), vjp, "neg")
 
 
 # -- linear algebra --------------------------------------------------------
@@ -409,6 +372,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 # -- reductions and losses ---------------------------------------------------
+
+
+def average(tensors) -> Tensor:
+    """The one mean over a sequence of equally shaped tensors: summed left to
+    right, then scaled by 1 / len."""
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = total + t
+    return (1.0 / len(tensors)) * total
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -52,6 +52,8 @@ class UsageError(Exception):
 
 # -- config handling -----------------------------------------------------------
 
+RUN_CONFIG_KEYS = ("model", "dataset", "seed", "output_dir")
+
 
 def load_run_config(path: str, overrides: list[str], seed: int | None, output: str | None) -> dict:
     try:
@@ -65,6 +67,9 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
         raise ConfigError(f"config {path} must be a JSON object")
     for item in overrides:
         apply_override(raw, item)
+    unknown = sorted(set(raw) - set(RUN_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"config {path} has unknown top-level key(s): {unknown}")
     raw.setdefault("seed", 0)
     if seed is not None:
         raw["seed"] = seed
@@ -125,13 +130,27 @@ DATASET_FIELDS = {
 }
 
 
+# The keys of a `dataset` section ("") and of its two subsections.
+DATASET_KEYS = {
+    "": ("path", "format", "anchor_stride", "synthetic", "split"),
+    "synthetic": ("kind", "n_steps", "n_channels", "seed"),
+    "split": ("scheme", "ratios", "rows_per_month"),
+}
+
+
 def check_dataset(section: dict) -> None:
     """The one check of a `dataset` section, from a run config or a
-    checkpoint's run record: a field of the wrong type or range is a
-    `ConfigError` that names it."""
+    checkpoint's run record: an unknown key, or a field of the wrong type or
+    range, is a `ConfigError` that names it."""
     for key in ("synthetic", "split"):
         if not isinstance(section.get(key, {}), dict):
             raise ConfigError(f"dataset.{key} must be an object, got {section[key]!r}")
+    for parent, known in DATASET_KEYS.items():
+        node = section.get(parent, {}) if parent else section
+        unknown = sorted(set(node) - set(known))
+        if unknown:
+            where = f"dataset.{parent}" if parent else "dataset"
+            raise ConfigError(f"{where} has unknown key(s): {unknown}")
     for field, (valid, what) in DATASET_FIELDS.items():
         parent, _, key = field.rpartition(".")
         node = section.get(parent, {}) if parent else section
@@ -359,6 +378,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     raw = load_run_config(args.config, args.set, args.seed, args.output)
     cfg, ds, split, _section, _record = prepare(raw)
     report = ablate(ds, split, cfg, args.flags.split(","), seeds=list(range(args.seeds)))
@@ -372,6 +393,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
+    for flag, value, least in (("--rows", args.rows, 2), ("--channels", args.channels, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     ds = synth.generate(args.kind, args.rows, args.channels, args.seed)
     synth.write_csv(ds, args.output)
     print(f"wrote {ds.n_steps} rows x {ds.n_channels} channels: {args.output}")

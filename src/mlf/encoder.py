@@ -134,19 +134,3 @@ def _match_tokens(x: Tensor, n_tokens: int) -> Tensor:
         raise ShapeError(f"redundancy block has {have} tokens but target has {n_tokens}")
     pad = Tensor(np.zeros(x.shape[:-1] + (n_tokens - have,)))
     return concat([x, pad], axis=-1)
-
-
-def aggregate_block_forecasts(block_forecasts: list[list[Tensor]]) -> list[Tensor]:
-    """Average each period's forecasts over the encoder blocks.
-
-    block_forecasts[e][s] is (B, m); the result keeps per-period order.
-    """
-    n_blocks = len(block_forecasts)
-    n_periods = len(block_forecasts[0])
-    averaged = []
-    for s in range(n_periods):
-        total = block_forecasts[0][s]
-        for e in range(1, n_blocks):
-            total = total + block_forecasts[e][s]
-        averaged.append((1.0 / n_blocks) * total)
-    return averaged

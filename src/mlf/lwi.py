@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, conv1d, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
+from .autograd import Tensor, average, conv1d, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
 from .layers import BatchNorm, ParamStore
 
 CONV_KERNEL = 3
@@ -83,9 +83,6 @@ def integrate(period_forecasts: list[Tensor], att: Tensor) -> Tensor:
 
 
 def integrate_plain(period_forecasts: list[Tensor]) -> Tensor:
-    """The one mean across periods, summed left to right. Applied to the
+    """The one mean across periods, `autograd.average`. Applied to the
     unweighted forecasts, it is the integration ablation."""
-    total = period_forecasts[0]
-    for forecast in period_forecasts[1:]:
-        total = total + forecast
-    return (1.0 / len(period_forecasts)) * total
+    return average(period_forecasts)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, mse
-from .encoder import EncoderBlock, SppHead, aggregate_block_forecasts, irf_filter
+from .autograd import ShapeError, Tensor, average, mse
+from .encoder import EncoderBlock, SppHead, irf_filter
 from .layers import ParamStore
 from .lwi import WeightIntegrator, integrate, integrate_plain
 from .patching import (
@@ -111,6 +111,12 @@ def has_type(value, annotation: str) -> bool:
     return isinstance(value, int if annotation == "int" else bool)
 
 
+# The least valid value of each numeric field that has one; 0 is the "off" or
+# "default" value of d_ff, grad_clip and max_steps.
+LEAST_VALUES = {"horizon": 1, "n_patches": 2, "n_blocks": 1, "patch_ratio": 1, "batch_size": 1, "epochs": 0,
+                "learning_rate": 0, "conv_filters": 1, "d_ff": 0, "grad_clip": 0, "max_steps": 0}
+
+
 def validate_config(cfg: MlfConfig) -> None:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -123,10 +129,9 @@ def validate_config(cfg: MlfConfig) -> None:
         raise ConfigError(f"model.period_lengths must be strictly increasing, got {list(periods)}")
     if periods[0] < 1 or periods[-1] < 2:  # the integration weights convolve the longest window
         raise ConfigError(f"model.period_lengths must be positive and the longest >= 2, got {list(periods)}")
-    if cfg.horizon < 1:
-        raise ConfigError(f"model.horizon must be >= 1, got {cfg.horizon}")
-    if cfg.n_patches < 2:
-        raise ConfigError(f"model.n_patches must be >= 2, got {cfg.n_patches}")
+    for name, least in LEAST_VALUES.items():
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"model.{name} must be >= {least}, got {getattr(cfg, name)}")
     if cfg.squeeze_factor not in (1, 2, 4, 8):
         raise ConfigError(f"model.squeeze_factor must be one of 1/2/4/8, got {cfg.squeeze_factor}")
     if cfg.n_patches % cfg.squeeze_factor != 0:
@@ -135,14 +140,6 @@ def validate_config(cfg: MlfConfig) -> None:
         )
     if cfg.d_model < 1 or cfg.n_heads < 1 or cfg.d_model % cfg.n_heads != 0:
         raise ConfigError(f"model.d_model ({cfg.d_model}) must be a positive multiple of n_heads ({cfg.n_heads})")
-    if cfg.n_blocks < 1:
-        raise ConfigError(f"model.n_blocks must be >= 1, got {cfg.n_blocks}")
-    if cfg.patch_ratio < 1:
-        raise ConfigError(f"model.patch_ratio must be >= 1, got {cfg.patch_ratio}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"model.batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.epochs < 0 or cfg.learning_rate < 0:
-        raise ConfigError("model.epochs and model.learning_rate must be non-negative")
     if not cfg.use_map:
         floor = FIXED_PATCH_LEN - FIXED_PATCH_STRIDE
         short = [n for n in periods if n < floor]
@@ -374,7 +371,7 @@ class MlfModel:
                 break  # no later block reads the filtered tokens
             tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
 
-        period_forecasts = aggregate_block_forecasts(block_forecasts)
+        period_forecasts = [average(per_block) for per_block in zip(*block_forecasts)]  # mean over blocks
         att = None
         if cfg.use_lwi:
             longest = Tensor(windows[-1])

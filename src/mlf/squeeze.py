@@ -9,7 +9,7 @@ surviving tokens to keep the period's information.
 
 from __future__ import annotations
 
-from .autograd import Tensor, concat, mse, narrow, relu
+from .autograd import Tensor, average, concat, mse, narrow, relu
 from .layers import ChannelLinear, Linear, ParamStore
 
 
@@ -78,7 +78,4 @@ def reconstruction_loss(reconstructed: list[Tensor], raw: list[Tensor]) -> Tenso
     """Mean over periods of the per-period raw-patch MSE."""
     if len(reconstructed) != len(raw):
         raise ValueError(f"got {len(reconstructed)} reconstructions for {len(raw)} patch sets")
-    total = mse(reconstructed[0], raw[0])
-    for rec, ref in zip(reconstructed[1:], raw[1:]):
-        total = total + mse(rec, ref)
-    return (1.0 / len(raw)) * total
+    return average([mse(rec, ref) for rec, ref in zip(reconstructed, raw)])

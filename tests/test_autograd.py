@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from mlf import autograd
 from mlf.autograd import (
     NumericsError,
     ShapeError,
     Tensor,
+    average,
     backward,
     batch_norm,
     concat,
@@ -386,17 +388,35 @@ def test_grad_check_linear_is_machine_exact():
     assert report.max_rel_err <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_average_equals_the_left_to_right_loop_with_its_gradients(n):
+    rng = np.random.default_rng(n)
+    # At n = 3, summing these right to left changes the bits of 2 of the 6 entries.
+    arrays = [rng.standard_normal((2, 3)) for _ in range(n)]
+    upstream = Tensor(rng.standard_normal((2, 3)))
+
+    def loop_mean(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return (1.0 / len(terms)) * total
+
+    results = []
+    for mean in (average, loop_mean):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = mean(xs)
+        backward(sum_all(mul(out, upstream)))
+        results.append((out.data, [x.grad for x in xs]))
+    (value, grads), (ref_value, ref_grads) = results
+    assert np.array_equal(value, ref_value)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
 def test_grad_check_detects_corrupted_rule():
     # A deliberately wrong backward: sigmoid derivative scaled by 1.1.
     def bad_sigmoid(a):
-        good = sigmoid(a)
-        out = Tensor(good.data)
-        out.requires_grad = True
-        out._parents = (a,)
-        out._op = "bad_sigmoid"
-        y = good.data
-        out._vjp = lambda g: (1.1 * g * y * (1.0 - y),)
-        return out
+        y = sigmoid(a).data
+        return autograd._node(y, (a,), lambda g: (1.1 * g * y * (1.0 - y),), "bad_sigmoid")
 
     x = Tensor([0.3, -0.7, 1.2], requires_grad=True)
     report = grad_check(lambda t: sum_all(bad_sigmoid(t)), [x])

@@ -388,6 +388,7 @@ def config_file(tmp_path, text):
         ("config", lambda tmp: ["train", config_file(tmp, "[1, 2]")], "must be a JSON object"),
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": 3})), "--set", "model.horizon=2"],
          "crosses a non-object value"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "foo=1"], "unknown top-level key(s): ['foo']"),
         ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "model.horizon"], "expects dotted.key=value"),
         ("usage", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM, use_lwi=False),
                                "--data", write_history(tmp / "d.csv", 160),
@@ -398,8 +399,19 @@ def config_file(tmp_path, text):
         ("data", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
                               "--data", write_history(tmp / "d.csv", 6)],
          "need at least 8 history rows, file has 6"),
+        ("usage", lambda tmp: ["ablate", config_file(tmp, "{}"), "--flags", "lwi", "--seeds", "0"],
+         "--seeds must be >= 1, got 0"),
+        ("usage", lambda tmp: ["ablate", config_file(tmp, "{}"), "--flags", "lwi", "--seeds", "-1"],
+         "--seeds must be >= 1, got -1"),
+        ("usage", lambda tmp: ["synth-data", "--rows", "1", "--output", str(tmp / "s.csv")], "--rows must be >= 2, got 1"),
+        ("usage", lambda tmp: ["synth-data", "--rows", "-5", "--output", str(tmp / "s.csv")],
+         "--rows must be >= 2, got -5"),
+        ("usage", lambda tmp: ["synth-data", "--channels", "0", "--output", str(tmp / "s.csv")],
+         "--channels must be >= 1, got 0"),
     ],
-    ids=["io", "config-json", "config-object", "config-set-path", "usage-set", "usage-export", "checkpoint", "data"],
+    ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
+         "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one", "usage-rows-negative",
+         "usage-channels-zero"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -416,8 +428,9 @@ def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, n
         ('model.horizon="x"', "model.horizon must be an integer, got 'x'"),
         ("model.epochs=1.5", "model.epochs must be an integer, got 1.5"),
         ("model.period_lengths=[1]", "positive and the longest >= 2"),
+        ("model.grad_clip=-1", "model.grad_clip must be >= 0, got -1"),
     ],
-    ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one"],
+    ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one", "grad-clip-negative"],
 )
 def test_mistyped_model_field_is_one_config_error_line(toy_run, capsys, override, needle):
     path, out_dir = toy_run
@@ -466,6 +479,9 @@ BAD_DATASET_SECTIONS = {
     "n-steps-text": ({"synthetic": {"n_steps": "x"}}, "dataset.synthetic.n_steps must be an integer >= 1, got 'x'"),
     "kind-unknown": ({"synthetic": {"kind": "wave"}}, "dataset.synthetic.kind must be one of ["),
     "stride-zero": ({"anchor_stride": 0}, "dataset.anchor_stride must be an integer >= 1, got 0"),
+    "key-unknown": ({"anchr_stride": 5}, "dataset has unknown key(s): ['anchr_stride']"),
+    "split-key-unknown": ({"split": {"ratio": [1, 1, 1]}}, "dataset.split has unknown key(s): ['ratio']"),
+    "synthetic-key-unknown": ({"synthetic": {"n_step": 50}}, "dataset.synthetic has unknown key(s): ['n_step']"),
 }
 
 

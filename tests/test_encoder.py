@@ -8,6 +8,7 @@ from mlf.autograd import (
     ShapeError,
     Tensor,
     add,
+    average,
     backward,
     concat,
     grad_check,
@@ -17,7 +18,7 @@ from mlf.autograd import (
     softmax,
     transpose,
 )
-from mlf.encoder import EncoderBlock, SppHead, aggregate_block_forecasts, irf_filter
+from mlf.encoder import EncoderBlock, SppHead, irf_filter
 from mlf.layers import ParamStore
 from mlf.model import MlfConfig, build_model
 
@@ -221,14 +222,16 @@ def test_irf_preserves_shapes_and_pads_unequal_blocks():
 
 
 def test_block_aggregation_examples():
+    # block_forecasts[e][s]; the forward pass averages each period over blocks.
     one = Tensor(np.full((1, 2), 1.0))
     three = Tensor(np.full((1, 2), 3.0))
-    avg = aggregate_block_forecasts([[one], [three]])
+    avg = [average(per_block) for per_block in zip(*[[one], [three]])]
     assert np.allclose(avg[0].data, 2.0)
-    solo = aggregate_block_forecasts([[three]])
+    solo = [average(per_block) for per_block in zip(*[[three]])]
     assert np.array_equal(solo[0].data, three.data)
-    multi = aggregate_block_forecasts([[one, three], [three, three]])
+    multi = [average(per_block) for per_block in zip(*[[one, three], [three, three]])]
     assert len(multi) == 2 and multi[0].shape == (1, 2)
+    assert np.allclose(multi[0].data, 2.0) and np.array_equal(multi[1].data, three.data)
 
 
 # -- encoder stack behavior through the full model ------------------------------------

@@ -6,7 +6,8 @@ from fnmatch import fnmatch
 import numpy as np
 import pytest
 
-from mlf.autograd import ShapeError, backward
+from mlf.autograd import ShapeError, backward, mse
+from mlf.encoder import SppHead
 from mlf.model import (
     ABLATION_FLAGS,
     ConfigError,
@@ -17,6 +18,7 @@ from mlf.model import (
     period_geometries,
     seed_streams,
 )
+from mlf.squeeze import reconstruction_loss
 
 TOY = MlfConfig(
     period_lengths=(4, 8),
@@ -66,6 +68,16 @@ def test_config_defaults_match_contract():
         (dict(period_lengths=(8,), horizon=1, use_lwi=1), "use_lwi must be true or false"),
         (dict(period_lengths=(1,), horizon=1), "the longest >= 2"),
         (dict(period_lengths=(8,), horizon=1, learning_rate=10**400), "learning_rate must be a finite number"),
+        (dict(period_lengths=(8,), horizon=1, conv_filters=0), "model.conv_filters must be >= 1, got 0"),
+        (dict(period_lengths=(8,), horizon=1, conv_filters=-1), "model.conv_filters must be >= 1, got -1"),
+        (dict(period_lengths=(8,), horizon=1, grad_clip=-1.0), "model.grad_clip must be >= 0, got -1.0"),
+        (dict(period_lengths=(8,), horizon=1, max_steps=-1), "model.max_steps must be >= 0, got -1"),
+        (dict(period_lengths=(8,), horizon=1, d_ff=-4), "model.d_ff must be >= 0, got -4"),
+        (dict(period_lengths=(8,), horizon=1, epochs=-1), "model.epochs must be >= 0, got -1"),
+        (dict(period_lengths=(8,), horizon=1, learning_rate=-1e-3), "model.learning_rate must be >= 0, got -0.001"),
+        (dict(period_lengths=(8,), horizon=1, n_patches=1, squeeze_factor=1), "model.n_patches must be >= 2, got 1"),
+        (dict(period_lengths=(8,), horizon=1, patch_ratio=0), "model.patch_ratio must be >= 1, got 0"),
+        (dict(period_lengths=(8,), horizon=1, batch_size=0), "model.batch_size must be >= 1, got 0"),
     ],
 )
 def test_config_validation(kwargs, match):
@@ -194,6 +206,31 @@ def test_loss_hand_arithmetic():
     )
     parts = mlf_loss(bundle, np.array([[0.0, 2.0]]))
     assert float(parts.total.data) == pytest.approx(4.0)
+
+
+def test_block_average_and_reconstruction_term_equal_the_left_to_right_loop(monkeypatch):
+    def loop_mean(terms):  # the sum-then-scale that `autograd.average` replaced
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return (1.0 / len(terms)) * total
+
+    head_forecasts, run_head = [], SppHead.__call__
+
+    def record_head(self, block):
+        out = run_head(self, block)
+        head_forecasts.append(out[0])
+        return out
+
+    monkeypatch.setattr(SppHead, "__call__", record_head)
+    cfg = replace(TOY, period_lengths=(4, 8, 16), n_blocks=3)
+    bundle = build_model(cfg, seed=0).forward(toy_windows(cfg=cfg), training=True)
+    n = cfg.n_periods
+    for s, forecast in enumerate(bundle.period_forecasts):
+        assert np.array_equal(forecast.data, loop_mean(head_forecasts[s::n]).data)
+    terms = [mse(rec, ref) for rec, ref in zip(bundle.reconstructions, bundle.raw_patches)]
+    recon = reconstruction_loss(bundle.reconstructions, bundle.raw_patches)
+    assert np.array_equal(recon.data, loop_mean(terms).data)
 
 
 # -- ablation switches -------------------------------------------------------------

@@ -8,15 +8,17 @@ and compare the two lines: equal lines mean that the two trees train, score,
 save and forecast to the same bits. The `src` of the tree that holds this
 file is imported, whatever the working directory.
 
-It covers the desk config on regime-switching data and the paper-default
-config on 7-channel seasonal data, each as base and `w/o lwi`, with short
-step-capped runs. For each it digests the raw gradients of one `backward` on
-the first training batch of the freshly built model (before clipping and
-Adam), the train step losses, the epoch train and validation losses,
-`validation_loss` after training, the `evaluate` predictions, LWI weight
-mean and attention mean, the checkpoint bytes, and the CSV bytes that
-`mlf forecast` writes from that checkpoint. The restore path gets its own
-digests: the `evaluate` predictions of
+It covers the desk config on regime-switching data, as base and with each
+ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
+and the paper-default config on 7-channel seasonal data, as base and
+`w/o lwi`, with short step-capped runs: 8 cases of 12 digests each. A run
+takes about 15-19 s on a 2-core VM with one BLAS thread. For each case it
+digests the raw gradients of one `backward` on the first training batch of
+the freshly built model (before clipping and Adam), the train step losses,
+the epoch train and validation losses, `validation_loss` after training, the
+`evaluate` predictions, LWI weight mean and attention mean, the checkpoint
+bytes, and the CSV bytes that `mlf forecast` writes from that checkpoint.
+The restore path gets its own digests: the `evaluate` predictions of
 `cli.restore_model(load_checkpoint(...))`, and the step losses and final
 parameters of 3 more train steps run from that restored model.
 """
@@ -50,10 +52,11 @@ DESK = MlfConfig(
 )
 PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24, batch_size=32, epochs=2, max_steps=3)
 
+# Name -> (config, data, ablation flags run as `w/o <flag>` variants besides base).
 CASES = {
     "desk": (DESK, lambda: regime_switching(1500, 1, seed=7, fast_amp=2.5, mean_dwell=50, noise=0.03,
-                                            calm_noise=0.25)),
-    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7)),
+                                            calm_noise=0.25), ("lwi", "irf", "map", "ma", "reconstruction_loss")),
+    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",)),
 }
 SEED = 3
 
@@ -125,9 +128,10 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
 def main() -> None:
     line = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (cfg, make_data) in CASES.items():
+        for name, (cfg, make_data, flags) in CASES.items():
             raw = make_data()
-            for variant, variant_cfg in (("base", cfg), ("w/o lwi", apply_ablation(cfg, "lwi"))):
+            variants = [("base", cfg)] + [(f"w/o {flag}", apply_ablation(cfg, flag)) for flag in flags]
+            for variant, variant_cfg in variants:
                 work = Path(tmp) / f"{name}-{variant.replace('/', '')}"
                 work.mkdir()
                 for key, value in run_case(variant_cfg, raw, work).items():
