@@ -5,8 +5,8 @@ computation, records the operation that produced it in a tape entry: edges to
 its parents, a vector-Jacobian-product closure and the op name. `backward()`
 walks the recorded graph once in reverse topological order and accumulates
 gradients into the leaves that requested them. Inside `with no_grad():`
-nothing is recorded, as with `torch.no_grad`: inference forwards keep no
-graph and free each intermediate array as soon as it is no longer read.
+nothing is recorded, as with `torch.no_grad`. The model's inference forward
+runs in it, so inference records nothing and frees each array once unread.
 
 The tape keeps only what backward reads. An edge is the parent's tape entry,
 or the parent itself when it is a leaf, never a recorded output, and each vjp

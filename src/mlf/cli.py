@@ -23,7 +23,7 @@ import numpy as np
 
 from . import synth
 from .ablation import ablate
-from .autograd import NumericsError, ShapeError, no_grad
+from .autograd import NumericsError, ShapeError
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     DataError,
@@ -71,14 +71,18 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
     if unknown:
         raise ConfigError(f"config {path} has unknown top-level key(s): {unknown}")
     raw.setdefault("seed", 0)
-    if seed is not None:
-        raw["seed"] = seed
-    if output is not None:
-        raw["output_dir"] = output
+    raw.setdefault("output_dir", "runs/latest")
+    flags = {"seed": seed, "output_dir": output}
+    for key, (flag, valid, what) in RUN_FIELDS.items():
+        if not valid(raw[key]):
+            raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
+        if flags[key] is not None:
+            if not valid(flags[key]):
+                raise UsageError(f"{flag} must be {what}, got {flags[key]!r}")
+            raw[key] = flags[key]
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         raw["output_dir"] = env_dir
-    raw.setdefault("output_dir", "runs/latest")
     return raw
 
 
@@ -110,6 +114,14 @@ def read_dataset(path: str, fmt: str) -> SeriesDataset:
 
 def int_at_least(least: int):
     return lambda v: has_type(v, "int") and v >= least
+
+
+# Top-level run-config field -> (the flag that overrides it, test of a valid
+# value, what a valid value is). `load_run_config` checks both sources.
+RUN_FIELDS = {
+    "seed": ("--seed", int_at_least(0), "an integer >= 0"),
+    "output_dir": ("--output", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
 
 
 # Field of a run config's `dataset` section -> (test of a valid value, what a
@@ -364,8 +376,7 @@ def cmd_forecast(args) -> int:
     # One sample per channel, all anchored at the end of the file.
     channels = np.arange(ds.n_channels)
     windows, _ = gather_batch(ds, channels, np.full(ds.n_channels, ds.n_steps), list(cfg.period_lengths), 0)
-    with no_grad():
-        bundle = model.forward(windows, training=False)
+    bundle = model.forward(windows, training=False)
     rows = ds.norm.invert(bundle.forecast.data, channels).T  # (m, C)
     out = args.output or "forecast.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -393,7 +404,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    for flag, value, least in (("--rows", args.rows, 2), ("--channels", args.channels, 1)):
+    for flag, value, least in (("--rows", args.rows, 2), ("--channels", args.channels, 1), ("--seed", args.seed, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
     ds = synth.generate(args.kind, args.rows, args.channels, args.seed)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, average, mse
+from .autograd import ShapeError, Tensor, average, mse, no_grad
 from .encoder import EncoderBlock, SppHead, irf_filter
 from .layers import ParamStore
 from .lwi import WeightIntegrator, integrate, integrate_plain
@@ -327,67 +328,68 @@ class MlfModel:
         training: bool,
         collect_diagnostics: bool = False,
     ) -> ForecastBundle:
-        """Training mode normalizes with batch statistics and updates the running
-        estimates; collect_diagnostics keeps each block's attention scores."""
-        cfg = self.config
-        if len(windows) != cfg.n_periods:
-            raise ShapeError(f"expected {cfg.n_periods} period windows, got {len(windows)}")
-        batch = windows[0].shape[0]
-        for s, (w, n) in enumerate(zip(windows, cfg.period_lengths)):
-            if w.ndim != 2 or w.shape != (batch, n):
-                raise ShapeError(f"period {s} window must be (B, {n}), got {w.shape}")
+        """Training normalizes with batch statistics and updates the running estimates; inference
+        runs under `no_grad()`, so it records no tape. collect_diagnostics keeps attention scores."""
+        with nullcontext() if training else no_grad():
+            cfg = self.config
+            if len(windows) != cfg.n_periods:
+                raise ShapeError(f"expected {cfg.n_periods} period windows, got {len(windows)}")
+            batch = windows[0].shape[0]
+            for s, (w, n) in enumerate(zip(windows, cfg.period_lengths)):
+                if w.ndim != 2 or w.shape != (batch, n):
+                    raise ShapeError(f"period {s} window must be (B, {n}), got {w.shape}")
 
-        raw_patches: list[Tensor] = []
-        squeezed: list[Tensor] = []
-        reconstructions: list[Tensor] = []
-        for s, geom in enumerate(self.geometries):
-            patches = Tensor(make_patches(windows[s], geom.params, adaptive=cfg.use_map))
-            raw_patches.append(patches)
-            embedded = embed(patches, self.w_proj[s], self.w_pos[s])  # (B, D, N_s)
-            compact = self.patch_encoders[s](embedded)  # (B, D, N_s/r)
-            squeezed.append(compact)
-            reconstructions.append(self.decoders[s](compact))
+            raw_patches: list[Tensor] = []
+            squeezed: list[Tensor] = []
+            reconstructions: list[Tensor] = []
+            for s, geom in enumerate(self.geometries):
+                patches = Tensor(make_patches(windows[s], geom.params, adaptive=cfg.use_map))
+                raw_patches.append(patches)
+                embedded = embed(patches, self.w_proj[s], self.w_pos[s])  # (B, D, N_s)
+                compact = self.patch_encoders[s](embedded)  # (B, D, N_s/r)
+                squeezed.append(compact)
+                reconstructions.append(self.decoders[s](compact))
 
-        tokens = concat_periods(squeezed)  # (B, D, N_tok)
-        block_forecasts: list[list[Tensor]] = []
-        attention_scores: list[np.ndarray] | None = [] if collect_diagnostics else None
+            tokens = concat_periods(squeezed)  # (B, D, N_tok)
+            block_forecasts: list[list[Tensor]] = []
+            attention_scores: list[np.ndarray] | None = [] if collect_diagnostics else None
 
-        for e, block in enumerate(self.blocks):
-            if cfg.use_attention:
-                z, scores = block(tokens, training=training, collect_scores=collect_diagnostics)
-                if collect_diagnostics:
-                    attention_scores.append(scores)
+            for e, block in enumerate(self.blocks):
+                if cfg.use_attention:
+                    z, scores = block(tokens, training=training, collect_scores=collect_diagnostics)
+                    if collect_diagnostics:
+                        attention_scores.append(scores)
+                else:
+                    z = tokens
+                period_blocks = split_periods(z, self.block_sizes)
+                forecasts = []
+                epsilons = []
+                for s, head in enumerate(self.spp_heads[e]):
+                    f, eps = head(period_blocks[s])
+                    forecasts.append(f)
+                    epsilons.append(eps)
+                block_forecasts.append(forecasts)
+                if e == cfg.n_blocks - 1:
+                    break  # no later block reads the filtered tokens
+                tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
+
+            period_forecasts = [average(per_block) for per_block in zip(*block_forecasts)]  # mean over blocks
+            att = None
+            if cfg.use_lwi:
+                longest = Tensor(windows[-1])
+                att = self.integrator(longest, training=training)
+                forecast = integrate(period_forecasts, att)
             else:
-                z = tokens
-            period_blocks = split_periods(z, self.block_sizes)
-            forecasts = []
-            epsilons = []
-            for s, head in enumerate(self.spp_heads[e]):
-                f, eps = head(period_blocks[s])
-                forecasts.append(f)
-                epsilons.append(eps)
-            block_forecasts.append(forecasts)
-            if e == cfg.n_blocks - 1:
-                break  # no later block reads the filtered tokens
-            tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
+                forecast = integrate_plain(period_forecasts)
 
-        period_forecasts = [average(per_block) for per_block in zip(*block_forecasts)]  # mean over blocks
-        att = None
-        if cfg.use_lwi:
-            longest = Tensor(windows[-1])
-            att = self.integrator(longest, training=training)
-            forecast = integrate(period_forecasts, att)
-        else:
-            forecast = integrate_plain(period_forecasts)
-
-        return ForecastBundle(
-            forecast=forecast,
-            period_forecasts=period_forecasts,
-            att=att,
-            reconstructions=reconstructions,
-            raw_patches=raw_patches,
-            attention_scores=attention_scores,
-        )
+            return ForecastBundle(
+                forecast=forecast,
+                period_forecasts=period_forecasts,
+                att=att,
+                reconstructions=reconstructions,
+                raw_patches=raw_patches,
+                attention_scores=attention_scores,
+            )
 
 
 def build_model(config: MlfConfig, seed: int = 0) -> MlfModel:

@@ -26,8 +26,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # np.zeros, not zeros_like: its zeroed pages are committed only when a step writes them.
+        self.m = {name: np.zeros(p.data.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.data.shape) for name, p in params.items()}
 
     def step(self) -> None:
         self.t += 1

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autograd import backward, no_grad
+from .autograd import backward
 from .data import DataError, SeriesDataset, SplitRanges, gather_batch, window_anchors
 from .metrics import MetricsReport, compute_metrics, naive_repeat_last
 from .model import ConfigError, MlfConfig, MlfModel, mlf_loss, seed_streams
@@ -150,9 +150,8 @@ def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg:
         return float("nan")
     total = 0.0
     for _, windows, targets in batches(ds, cfg, channels, anchors):
-        with no_grad():
-            bundle = model.forward(windows, training=False)
-            loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
+        bundle = model.forward(windows, training=False)
+        loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
         total += float(loss.total.data) * targets.shape[0]
     return total / channels.size
 
@@ -204,8 +203,7 @@ def evaluate(
     attn_count = 0
 
     for sel, windows, batch_targets in batches(ds, cfg, channels, anchors):
-        with no_grad():
-            bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
+        bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
         preds[sel] = bundle.forecast.data
         targets[sel] = batch_targets
         if bundle.att is not None:

@@ -408,10 +408,20 @@ def config_file(tmp_path, text):
          "--rows must be >= 2, got -5"),
         ("usage", lambda tmp: ["synth-data", "--channels", "0", "--output", str(tmp / "s.csv")],
          "--channels must be >= 1, got 0"),
+        ("usage", lambda tmp: ["synth-data", "--seed", "-1", "--output", str(tmp / "s.csv")],
+         "--seed must be >= 0, got -1"),
+        ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--output", ""],
+         "--output must be a non-empty string, got ''"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", 'seed="x"'],
+         "seed must be an integer >= 0, got 'x'"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "output_dir=5"],
+         "output_dir must be a non-empty string, got 5"),
     ],
     ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
          "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one", "usage-rows-negative",
-         "usage-channels-zero"],
+         "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative", "usage-output-empty",
+         "config-seed-text", "config-output-dir-number"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))

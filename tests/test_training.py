@@ -1,6 +1,7 @@
 """Training loop: learning, determinism, checkpoint selection, divergence."""
 
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mlf.checkpoint import Checkpoint, save_checkpoint
 from mlf.data import DataError, SplitRanges, split_dataset, standardize
 from mlf.model import MlfModel, build_model, mlf_loss
 from mlf.synth import linear_trend, regime_switching, write_csv
-from mlf.training import DivergenceError, evaluate, train, sample_index, validation_loss
+from mlf.training import DivergenceError, batches, evaluate, train, sample_index, validation_loss
 from mlf.data import gather_batch
 
 from conftest import regime_config, regime_dataset
@@ -174,9 +175,11 @@ def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-6
 
 
-def taped_batches(model, ds, split_range):
+def taped_batches(model, ds, split_range, monkeypatch):
     """The inference forward of `evaluate` and `validation_loss`, batch by batch,
-    with the tape recording."""
+    with the tape recording: `forward`'s `no_grad` is swapped for a null context
+    until the test ends."""
+    monkeypatch.setattr("mlf.model.no_grad", nullcontext)
     cfg = model.config
     channels, anchors = sample_index(ds, split_range, cfg)
     for lo in range(0, channels.size, cfg.batch_size):
@@ -187,7 +190,7 @@ def taped_batches(model, ds, split_range):
         yield windows, targets, bundle
 
 
-def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset):
+def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset, monkeypatch):
     from dataclasses import replace
 
     ds, split = tiny_dataset
@@ -196,15 +199,16 @@ def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset):
     train(model, ds, split, seed=0)
 
     result = evaluate(model, ds, split, "test")
-    taped = np.concatenate([b.forecast.data for _, _, b in taped_batches(model, ds, split.test)])
+    val = validation_loss(model, ds, split, cfg)
+    taped = np.concatenate([b.forecast.data for _, _, b in taped_batches(model, ds, split.test, monkeypatch)])
     assert np.array_equal(result.predictions, taped)
 
     total, count = 0.0, 0
-    for windows, targets, bundle in taped_batches(model, ds, split.val):
+    for windows, targets, bundle in taped_batches(model, ds, split.val, monkeypatch):
         loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
         total += float(loss.total.data) * windows[0].shape[0]
         count += windows[0].shape[0]
-    assert validation_loss(model, ds, split, cfg) == total / count
+    assert val == total / count
 
 
 @pytest.fixture
@@ -222,7 +226,7 @@ def tape_nodes(monkeypatch):
     return counter
 
 
-def test_inference_records_no_tape_nodes(tiny_config, tiny_dataset, tmp_path, tape_nodes, capsys):
+def test_inference_records_no_tape_nodes(tiny_config, tiny_dataset, tmp_path, tape_nodes, capsys, monkeypatch):
     ds, split = tiny_dataset
     model = build_model(tiny_config, seed=0)
     evaluate(model, ds, split, "test")
@@ -238,8 +242,16 @@ def test_inference_records_no_tape_nodes(tiny_config, tiny_dataset, tmp_path, ta
     assert code == 0, capsys.readouterr().err
     assert tape_nodes["nodes"] == 0
 
-    # The counter sees the nodes of a taped forward.
-    next(taped_batches(model, ds, split.test))
+    # A bare inference forward, with no wrapper, records nothing either.
+    _, windows, _ = next(batches(ds, tiny_config, *sample_index(ds, split.test, tiny_config)))
+    assert not model.forward(windows, training=False).forecast.requires_grad
+    assert tape_nodes["nodes"] == 0
+
+    # The counter sees the nodes of a training forward and of a taped inference forward.
+    assert model.forward(windows, training=True).forecast.requires_grad
+    assert tape_nodes["nodes"] > 0
+    tape_nodes["nodes"] = 0
+    next(taped_batches(model, ds, split.test, monkeypatch))
     assert tape_nodes["nodes"] > 0
 
 

@@ -11,16 +11,18 @@ file is imported, whatever the working directory.
 It covers the desk config on regime-switching data, as base and with each
 ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
 and the paper-default config on 7-channel seasonal data, as base and
-`w/o lwi`, with short step-capped runs: 8 cases of 12 digests each. A run
+`w/o lwi`, with short step-capped runs: 8 cases of 13 digests each. A run
 takes about 15-19 s on a 2-core VM with one BLAS thread. For each case it
 digests the raw gradients of one `backward` on the first training batch of
 the freshly built model (before clipping and Adam), the train step losses,
 the epoch train and validation losses, `validation_loss` after training, the
 `evaluate` predictions, LWI weight mean and attention mean, the checkpoint
 bytes, and the CSV bytes that `mlf forecast` writes from that checkpoint.
-The restore path gets its own digests: the `evaluate` predictions of
-`cli.restore_model(load_checkpoint(...))`, and the step losses and final
-parameters of 3 more train steps run from that restored model.
+The restore path gets its own digests, all of the model that
+`cli.restore_model(load_checkpoint(...))` returns: the forecast of a bare
+`forward(training=False)` on the first test batch, called with no wrapper as
+the benchmark's restore check calls it; the `evaluate` predictions; and the
+step losses and final parameters of 3 more train steps run from that model.
 """
 
 import hashlib
@@ -106,6 +108,8 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     loaded = load_checkpoint(str(ckpt))
     loaded.config["max_steps"] = 3  # the restored model trains 3 more steps
     restored = cli.restore_model(loaded)
+    _, windows, _ = next(training.batches(ds, cfg, *training.sample_index(ds, split.test, cfg)))
+    restored_forward = restored.forward(windows, training=False).forecast.data
     restored_ev = training.evaluate(restored, ds, split, "test")
     more = training.train(restored, ds, split, seed=SEED)
     state = restored.state_arrays()
@@ -119,6 +123,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
         "attention_mean": digest(ev.attention_mean),
         "checkpoint": digest(ckpt.read_bytes()),
         "forecast_csv": digest(out.read_bytes()),
+        "restored_forward": digest(restored_forward),
         "restored_predictions": digest(restored_ev.predictions),
         "restored_step_losses": digest(more.step_losses),
         "restored_state": digest(b"".join(state[name].tobytes() for name in sorted(state))),
