@@ -9,16 +9,7 @@ prediction. Runs on a small built-in float64 autodiff engine; numpy is the
 only dependency.
 """
 
-from .autograd import (
-    GradCheckReport,
-    NumericsError,
-    ShapeError,
-    Tensor,
-    backward,
-    grad_check,
-    no_grad,
-    set_nan_guard,
-)
+from .autograd import ShapeError, Tensor, backward, no_grad
 from .data import (
     DataError,
     SeriesDataset,
@@ -51,10 +42,8 @@ __all__ = [
     "DataError",
     "DivergenceError",
     "ForecastBundle",
-    "GradCheckReport",
     "MlfConfig",
     "MlfModel",
-    "NumericsError",
     "SeriesDataset",
     "ShapeError",
     "SplitRanges",
@@ -63,13 +52,11 @@ __all__ = [
     "backward",
     "build_model",
     "evaluate",
-    "grad_check",
     "load_csv",
     "load_fund_csv",
     "mlf_loss",
     "no_grad",
     "seed_streams",
-    "set_nan_guard",
     "split_dataset",
     "standardize",
     "train",

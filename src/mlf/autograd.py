@@ -18,39 +18,22 @@ Only the primitives the multi-period forecasting model needs are provided:
 matmul (with stacked/batched broadcasting), elementwise arithmetic with
 numpy-style broadcasting, softmax, tanh/sigmoid/relu, 1-d convolution,
 batch normalization, 1-d max pooling, reshape/transpose/concat/slicing,
-reductions, the mean over a list of tensors, and mean-squared error.
+the mean over a list of tensors, and mean-squared error.
+
+No primitive checks its output for NaN or Inf. Non-finite numbers are stopped
+where they enter: CSV cells, run-config fields and checkpoint tensors are
+checked when they are read.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with an operation."""
-
-
-class NumericsError(ArithmeticError):
-    """Raised when a primitive produces NaN/Inf while the guard is enabled."""
-
-
-# NaN/Inf checking after every primitive. Off by default (it costs a full
-# pass over every op output); tests and debug runs switch it on.
-_NAN_GUARD = False
-
-
-def set_nan_guard(enabled: bool) -> bool:
-    """Enable/disable finite-value checks after every primitive.
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _NAN_GUARD
-    previous = _NAN_GUARD
-    _NAN_GUARD = bool(enabled)
-    return previous
 
 
 # Tape recording. Off only inside `no_grad()`.
@@ -140,17 +123,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def is_leaf(self) -> bool:
-        return not self._parents
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
@@ -181,8 +153,6 @@ def _lift(value) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """Wrap a primitive's output, recording it on the tape when needed."""
-    if _NAN_GUARD and not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite values produced by op {op!r}")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -371,7 +341,7 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, (a,), vjp, "relu")
 
 
-# -- reductions and losses ---------------------------------------------------
+# -- means and losses --------------------------------------------------------
 
 
 def average(tensors) -> Tensor:
@@ -381,24 +351,6 @@ def average(tensors) -> Tensor:
     for t in tensors[1:]:
         total = total + t
     return (1.0 / len(tensors)) * total
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g), dtype=np.float64),)
-
-    return _node(np.asarray(a.data.sum()), (a,), vjp, "sum")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n, shape = a.size, a.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n, dtype=np.float64),)
-
-    return _node(np.asarray(a.data.mean()), (a,), vjp, "mean")
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
@@ -612,70 +564,3 @@ def backward(loss: Tensor) -> None:
             else:
                 adjoint[key] = pg
 
-
-# -- gradient checking ---------------------------------------------------------
-
-# Coordinates where analytic and numeric agree to within this absolute slack
-# count as exact; it sits well above central-difference roundoff (~1e-11 for
-# O(1) losses at the default step) and well below any real backward-rule bug.
-_ABS_SLACK = 1e-9
-_REL_FLOOR = 1e-6
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    tol: float
-    worst_input: int
-    worst_index: tuple[int, ...]
-    analytic: float
-    numeric: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"grad check {status}: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e}) "
-            f"at input {self.worst_input} index {self.worst_index} "
-            f"analytic {self.analytic:.6e} vs numeric {self.numeric:.6e}"
-        )
-
-
-def grad_check(f, point, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare tape gradients of scalar-valued `f` against central differences.
-
-    `point` is a sequence of requires_grad Tensors that `f` reads; their data
-    is perturbed in place and restored. Returns the worst relative error over
-    every coordinate of every input.
-    """
-    point = list(point)
-    for t in point:
-        t.zero_grad()
-    out = f(*point)
-    if out.size != 1:
-        raise ShapeError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
-    backward(out)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in point]
-
-    worst = GradCheckReport(0.0, tol, -1, (), 0.0, 0.0)
-    for i, t in enumerate(point):
-        flat = t.data.reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + step
-            f_plus = f(*point).item()
-            flat[j] = original - step
-            f_minus = f(*point).item()
-            flat[j] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = analytic[i].reshape(-1)[j]
-            diff = abs(a - numeric)
-            rel = 0.0 if diff <= _ABS_SLACK else diff / max(abs(a), abs(numeric), _REL_FLOOR)
-            if rel > worst.max_rel_err:
-                worst = GradCheckReport(
-                    rel, tol, i, np.unravel_index(j, t.shape), float(a), float(numeric)
-                )
-    return worst

@@ -5,9 +5,10 @@ Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
 Writing the same state twice produces byte-identical files, which the
 reproducibility guarantee relies on. `load_checkpoint` is the one place that
 validates a header: every field its readers use has its type, or the load
-fails with a `CheckpointError`. It reads the payload after the header once,
-into one writable buffer sized from the file, and each loaded tensor is an
-aligned view into that buffer, not a copy.
+fails with a `CheckpointError`, as it does when a tensor holds NaN or Inf.
+It reads the payload after the header once, into one writable buffer sized
+from the file, and each loaded tensor is an aligned view into that buffer,
+not a copy.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
         if start < end:  # views of shared bytes would write into each other
             raise CheckpointError(f"{path}: tensor data for {a} and {b} overlap")
+    # One pass over the payload. Only a hit looks for the tensor, since bytes
+    # that no tensor claims do not count.
+    if not np.isfinite(payload[: len(payload) // 8 * 8].view("<f8")).all():
+        bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+        if bad:
+            raise CheckpointError(f"{path}: tensor {bad[0]} holds NaN or Inf values")
     return Checkpoint(
         config=header["config"],
         arrays=arrays,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import synth
 from .ablation import ablate
-from .autograd import NumericsError, ShapeError
+from .autograd import ShapeError
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     DataError,
@@ -63,6 +63,8 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
         raise OSError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     for item in overrides:
@@ -476,7 +478,6 @@ ERROR_CODES = {
     DivergenceError: "diverged",
     MetricError: "metric",
     ShapeError: "shape",
-    NumericsError: "numeric",
     OSError: "io",
 }
 

@@ -91,35 +91,38 @@ def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a date column plus at least one value column")
-        columns = [name.strip() for name in header[1:]]
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        for row_idx, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}")
-            timestamps.append(row[0])
-            parsed = []
-            for col_idx, cell in enumerate(row[1:], start=2):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {row_idx}, column {col_idx}"
-                    ) from None
-                if not math.isfinite(value):
-                    column = f"column {col_idx} ({header[col_idx - 1]})"
-                    raise DataError(f"{path}: non-finite value {cell!r} at row {row_idx}, {column}")
-                parsed.append(value)
-            rows.append(parsed)
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if len(header) < 2:
+                raise DataError(f"{path}: need a date column plus at least one value column")
+            columns = [name.strip() for name in header[1:]]
+            timestamps: list[str] = []
+            rows: list[list[float]] = []
+            for row_idx, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}")
+                timestamps.append(row[0])
+                parsed = []
+                for col_idx, cell in enumerate(row[1:], start=2):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: non-numeric value {cell!r} at row {row_idx}, column {col_idx}"
+                        ) from None
+                    if not math.isfinite(value):
+                        column = f"column {col_idx} ({header[col_idx - 1]})"
+                        raise DataError(f"{path}: non-finite value {cell!r} at row {row_idx}, {column}")
+                    parsed.append(value)
+                rows.append(parsed)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     matrix = np.asarray(rows, dtype=np.float64)

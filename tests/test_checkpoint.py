@@ -268,3 +268,29 @@ def test_malformed_header_field_fails_with_one_checkpoint_error_line(tmp_path, c
         assert code == 1
         assert err.startswith(f"error[checkpoint]: {path}: corrupt header: ") and needle in err, err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_tensor_fails_with_one_checkpoint_error_line(tmp_path, capsys, value):
+    path = str(tmp_path / "nonfinite.ckpt")
+    ckpt = sample_checkpoint()
+    ckpt.arrays["w"][1, 2] = value
+    save_checkpoint(path, ckpt)
+    for command in ("eval", "forecast"):
+        code = cli.main([command, path, "--data", str(tmp_path / "unused.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error[checkpoint]: {path}: tensor w holds NaN or Inf values\n", err
+
+
+def test_finiteness_check_names_the_first_bad_tensor_and_ignores_unclaimed_bytes(tmp_path):
+    path = str(tmp_path / "nonfinite.ckpt")
+    ckpt = sample_checkpoint()
+    ckpt.arrays["b"][0] = ckpt.arrays["w"][0, 0] = np.nan
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointError, match="tensor b holds NaN or Inf"):  # b is first in header order
+        load_checkpoint(path)
+    save_checkpoint(path, sample_checkpoint())
+    with open(path, "ab") as fh:  # trailing bytes that no tensor claims
+        fh.write(np.array([np.nan]).tobytes())
+    assert load_checkpoint(path) == sample_checkpoint()

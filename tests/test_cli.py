@@ -380,6 +380,11 @@ def config_file(tmp_path, text):
     return str(path)
 
 
+def raw_file(path, blob):
+    path.write_bytes(blob)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "code, argv, needle",
     [
@@ -417,11 +422,20 @@ def config_file(tmp_path, text):
          "seed must be an integer >= 0, got 'x'"),
         ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "output_dir=5"],
          "output_dir must be a non-empty string, got 5"),
+        ("data", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
+                              "--data", raw_file(tmp / "d.csv", b"\xff\xfe")], "can't decode byte 0xff"),
+        ("data", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
+                              "--data", raw_file(tmp / "d.csv", b"\xff\xfe")], "can't decode byte 0xff"),
+        ("data", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
+                              "--data", write_history(tmp / "d.csv", cell="1" * 131073)],
+         "field larger than field limit"),
+        ("config", lambda tmp: ["train", raw_file(tmp / "run.json", b"\xff\xfe{}")], "is not UTF-8 text"),
     ],
     ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
          "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one", "usage-rows-negative",
          "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative", "usage-output-empty",
-         "config-seed-text", "config-output-dir-number"],
+         "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast", "data-not-utf8-eval",
+         "data-field-too-long", "config-not-utf8"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))

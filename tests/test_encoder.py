@@ -11,9 +11,7 @@ from mlf.autograd import (
     average,
     backward,
     concat,
-    grad_check,
     matmul,
-    mean_all,
     relu,
     softmax,
     transpose,
@@ -21,6 +19,8 @@ from mlf.autograd import (
 from mlf.encoder import EncoderBlock, SppHead, irf_filter
 from mlf.layers import ParamStore
 from mlf.model import MlfConfig, build_model
+
+from gradcheck import grad_check, mean_all
 
 
 def store(seed=0):
@@ -114,7 +114,7 @@ def test_batched_block_matches_per_head_reference():
     batched = {name: p.grad for name, p in st.params.items()}
 
     for p in st.params.values():
-        p.zero_grad()
+        p.grad = None
     per_head = [
         [Tensor(w.data[h].copy(), requires_grad=True) for h in range(4)]
         for w in (block.w_q, block.w_k, block.w_v)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mlf.autograd import Tensor, backward, grad_check, mean_all
+from mlf.autograd import Tensor, backward
 from mlf.layers import ParamStore
 from mlf.lwi import WeightIntegrator, integrate, integrate_plain
+
+from gradcheck import grad_check, mean_all
 
 SIG_LO, SIG_HI = 0.2689, 0.7311  # sigmoid(-1), sigmoid(+1) rounded outward
 

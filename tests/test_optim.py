@@ -18,7 +18,7 @@ def test_zero_learning_rate_leaves_parameters_unchanged():
     adam = Adam(params, lr=0.0)
     for _ in range(3):
         loss = mse(params["w"], Tensor(np.zeros(4)))
-        params["w"].zero_grad()
+        params["w"].grad = None
         backward(loss)
         adam.step()
     assert np.array_equal(params["w"].data, before)
@@ -43,7 +43,7 @@ def test_adam_minimizes_quadratic():
     adam = Adam(params, lr=0.05)
     for _ in range(400):
         loss = mse(params["w"], target)
-        params["w"].zero_grad()
+        params["w"].grad = None
         backward(loss)
         adam.step()
     assert float(mse(params["w"], target).data) < 1e-8

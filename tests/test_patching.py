@@ -4,7 +4,7 @@ embedding gradients."""
 import numpy as np
 import pytest
 
-from mlf.autograd import ShapeError, Tensor, grad_check, mean_all
+from mlf.autograd import ShapeError, Tensor
 from mlf.patching import (
     derive_patch_params,
     embed,
@@ -13,6 +13,8 @@ from mlf.patching import (
     make_patches,
     patchify,
 )
+
+from gradcheck import grad_check, mean_all
 
 TWELVE_LENGTHS = [5, 10, 30, 60, 120, 150, 128, 256, 512, 768, 1024, 2048]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlf.autograd import Tensor, backward, grad_check, mean_all
+from mlf.autograd import Tensor, backward
 from mlf.layers import ParamStore
 from mlf.optim import Adam
 from mlf.squeeze import (
@@ -13,6 +13,8 @@ from mlf.squeeze import (
     reconstruction_loss,
     split_periods,
 )
+
+from gradcheck import grad_check, mean_all
 
 
 def store(seed=0):
@@ -128,7 +130,7 @@ def test_overfit_single_input_reconstruction():
         if loss_value < 1e-4:
             break
         for p in st.params.values():
-            p.zero_grad()
+            p.grad = None
         backward(loss)
         adam.step()
     assert loss_value < 1e-4, loss_value
