@@ -78,8 +78,8 @@ class Tensor:
 
     `requires_grad` marks a leaf whose gradient should be accumulated by
     `backward()`. Tensors produced by primitives carry a tape entry (`_fn`);
-    users never construct those directly. `_parents`, `_vjp` and `_op` read
-    that entry, and `_vjp` may replace a recorded output's vjp.
+    users never construct those directly. `_vjp` reads that entry's vjp and
+    may replace it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_fn")
@@ -93,21 +93,12 @@ class Tensor:
     # -- tape entry --------------------------------------------------------
 
     @property
-    def _parents(self) -> tuple:
-        """Parent edges: a recorded parent's `_Fn`, or a leaf parent itself."""
-        return self._fn.parents if self._fn is not None else ()
-
-    @property
     def _vjp(self):
         return self._fn.vjp if self._fn is not None else None
 
     @_vjp.setter
     def _vjp(self, vjp) -> None:
         self._fn.vjp = vjp
-
-    @property
-    def _op(self) -> str:
-        return self._fn.op if self._fn is not None else "leaf"
 
     # -- introspection -------------------------------------------------
 
@@ -125,7 +116,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
+        op = self._fn.op if self._fn is not None else "leaf"
+        return f"Tensor(shape={self.shape}, op={op!r}{grad_flag})"
 
     # -- operator sugar --------------------------------------------------
 

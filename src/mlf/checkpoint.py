@@ -1,14 +1,16 @@
 """Deterministic checkpoint container: JSON header + raw float64 blobs.
 
 Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
-(sorted keys), then each tensor's row-major float64 bytes in header order.
-Writing the same state twice produces byte-identical files, which the
-reproducibility guarantee relies on. `load_checkpoint` is the one place that
-validates a header: every field its readers use has its type, or the load
-fails with a `CheckpointError`, as it does when a tensor holds NaN or Inf.
-It reads the payload after the header once, into one writable buffer sized
-from the file, and each loaded tensor is an aligned view into that buffer,
-not a copy.
+(sorted keys), then each tensor's row-major float64 bytes, back to back in
+header order. A tensor entry is its name and shape only, so each offset is
+the running sum of the sizes before it. Writing the same state twice
+produces byte-identical files, which the reproducibility guarantee relies
+on. `load_checkpoint` is the one place that validates a header: every field
+its readers use has its type, and the payload is exactly the tensors, or the
+load fails with a `CheckpointError`, as it does when a tensor holds NaN or
+Inf. It reads the payload after the header once, into one writable buffer
+sized from the file, and each loaded tensor is an aligned view into that
+buffer, not a copy.
 """
 
 from __future__ import annotations
@@ -27,45 +29,32 @@ MAGIC = b"MLFCKPT1"
 # reads it, which changed the tensor set and the order of initial draws.
 # Version 3: each block stores Q, K and V as one stacked (H, D, d_k) tensor
 # (block{e}.wq|wk|wv) instead of one tensor per head; the values are unchanged.
-FORMAT_VERSION = 3
+# Version 4: a tensor entry is {name, shape} only; the data follow back to back
+# in header order, so no stored offset can disagree with the bytes.
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no one truth value; compare fields, or the saved bytes
 class Checkpoint:
     config: dict
     arrays: dict[str, np.ndarray]
     normalization: dict | None = None  # channel names + per-channel mean/std
     meta: dict | None = None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Checkpoint):
-            return NotImplemented
-        if self.config != other.config or self.normalization != other.normalization:
-            return False
-        if set(self.arrays) != set(other.arrays):
-            return False
-        return all(np.array_equal(self.arrays[k], other.arrays[k]) for k in self.arrays)
-
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     names = sorted(ckpt.arrays)
     arrays = [np.ascontiguousarray(ckpt.arrays[name], dtype=np.float64) for name in names]
-    tensors = []
-    offset = 0
-    for name, arr in zip(names, arrays):
-        nbytes = arr.size * 8
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": nbytes})
-        offset += nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "config": ckpt.config,
         "normalization": ckpt.normalization,
         "meta": ckpt.meta or {},
-        "tensors": tensors,
+        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in zip(names, arrays)],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -97,36 +86,33 @@ def load_checkpoint(path: str) -> Checkpoint:
         payload = np.empty(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0), np.uint8)  # no zero fill
         payload = payload[: fh.readinto(payload)]  # the file may have shrunk since fstat
     check_fields(path, header)
-    arrays = {}
-    spans = []
+    shapes = {}
     for spec in header["tensors"]:
         try:
-            name, shape, start, nbytes = spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"]
+            name, shape = spec["name"], tuple(spec["shape"])
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: {exc!r}") from None
         if not isinstance(name, str):
             raise CheckpointError(f"{path}: corrupt tensor entry {spec!r}: the name is not a string")
-        if not all(has_type(v, "int") and v >= 0 for v in (nbytes, *shape)) or 8 * math.prod(shape) != nbytes:
-            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)} but {nbytes!r} bytes")
-        if not has_type(start, "int") or start < 0 or start + nbytes > len(payload):
-            raise CheckpointError(
-                f"{path}: tensor data for {name} at offset {start!r} is outside the {len(payload)} bytes "
-                "after the header (truncated or corrupt file)"
-            )
-        if start % 8:
-            raise CheckpointError(f"{path}: tensor data for {name} at offset {start} is not 8-byte aligned")
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=start).reshape(shape)
-        spans.append((start, start + nbytes, name))
-    spans.sort()
-    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
-        if start < end:  # views of shared bytes would write into each other
-            raise CheckpointError(f"{path}: tensor data for {a} and {b} overlap")
-    # One pass over the payload. Only a hit looks for the tensor, since bytes
-    # that no tensor claims do not count.
-    if not np.isfinite(payload[: len(payload) // 8 * 8].view("<f8")).all():
-        bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
-        if bad:
-            raise CheckpointError(f"{path}: tensor {bad[0]} holds NaN or Inf values")
+        if name in shapes:
+            raise CheckpointError(f"{path}: tensor {name} appears twice in the header")
+        if not all(has_type(n, "int") and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name} has shape {list(shape)}, not a list of integers >= 0")
+        shapes[name] = shape
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if 8 * sum(sizes) != len(payload):
+        raise CheckpointError(
+            f"{path}: the tensors take {8 * sum(sizes)} bytes but {len(payload)} follow the header "
+            "(truncated or corrupt file)"
+        )
+    values = payload.view("<f8")
+    arrays, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        arrays[name] = values[start : start + size].reshape(shape)
+        start += size
+    if not np.isfinite(values).all():  # one pass; only a hit looks for the tensor
+        bad = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+        raise CheckpointError(f"{path}: tensor {bad} holds NaN or Inf values")
     return Checkpoint(
         config=header["config"],
         arrays=arrays,

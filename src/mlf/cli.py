@@ -106,12 +106,9 @@ def apply_override(config: dict, item: str) -> None:
 
 
 def read_dataset(path: str, fmt: str) -> SeriesDataset:
-    """The one reader of data files: `fmt` is 'generic' or 'fund'."""
-    if fmt == "fund":
-        return load_fund_csv(path)
-    if fmt == "generic":
-        return load_csv(path)
-    raise ConfigError(f"dataset.format must be 'generic' or 'fund', got {fmt!r}")
+    """The one reader of data files: `fmt` is 'generic' or 'fund', as
+    `check_dataset` and the `--format` choices make it."""
+    return load_fund_csv(path) if fmt == "fund" else load_csv(path)
 
 
 def int_at_least(least: int):
@@ -130,6 +127,7 @@ RUN_FIELDS = {
 # valid value is). `check_dataset` applies each to the fields present.
 DATASET_FIELDS = {
     "path": (lambda v: isinstance(v, str), "a string"),
+    "format": (lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),
     "anchor_stride": (int_at_least(1), "an integer >= 1"),
     "synthetic.kind": (lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),
     "synthetic.n_steps": (int_at_least(1), "an integer >= 1"),
@@ -155,7 +153,9 @@ DATASET_KEYS = {
 def check_dataset(section: dict) -> None:
     """The one check of a `dataset` section, from a run config or a
     checkpoint's run record: an unknown key, or a field of the wrong type or
-    range, is a `ConfigError` that names it."""
+    range, is a `ConfigError` that names it. Every field that a reader of the
+    section uses is in `DATASET_FIELDS`, so `read_dataset` and
+    `synth.generate` take their `format` and `kind` as given."""
     for key in ("synthetic", "split"):
         if not isinstance(section.get(key, {}), dict):
             raise ConfigError(f"dataset.{key} must be an object, got {section[key]!r}")
@@ -380,6 +380,8 @@ def cmd_forecast(args) -> int:
     windows, _ = gather_batch(ds, channels, np.full(ds.n_channels, ds.n_steps), list(cfg.period_lengths), 0)
     bundle = model.forward(windows, training=False)
     rows = ds.norm.invert(bundle.forecast.data, channels).T  # (m, C)
+    if not np.isfinite(rows).all():
+        raise MetricError("predictions hold NaN or Inf")
     out = args.output or "forecast.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

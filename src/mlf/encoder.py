@@ -35,8 +35,6 @@ class EncoderBlock:
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int, d_ff: int):
-        if d_model % n_heads != 0:
-            raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads

@@ -30,8 +30,6 @@ class WeightIntegrator:
         window_len: int,
         conv_filters: int = 16,
     ):
-        if window_len < 2:
-            raise ValueError(f"feature window must have >= 2 steps, got {window_len}")
         self.n_periods = n_periods
         self.horizon = horizon
         self.window_len = window_len

@@ -75,6 +75,8 @@ def compute_metrics(
         raise MetricError(f"expected (n_samples, horizon) arrays, got shape {pred.shape}")
     if units not in ("normalized", "original"):
         raise MetricError(f"units must be 'normalized' or 'original', got {units!r}")
+    if not np.isfinite(pred).all():
+        raise MetricError("predictions hold NaN or Inf")
     try:
         if sum_wmape_channels:
             if channels is None:

@@ -141,6 +141,8 @@ def validate_config(cfg: MlfConfig) -> None:
         )
     if cfg.d_model < 1 or cfg.n_heads < 1 or cfg.d_model % cfg.n_heads != 0:
         raise ConfigError(f"model.d_model ({cfg.d_model}) must be a positive multiple of n_heads ({cfg.n_heads})")
+    if cfg.use_map and cfg.patch_ratio != 2:  # only L = 2K cuts n_patches*K steps into n_patches patches
+        raise ConfigError(f"model.patch_ratio must be 2 under adaptive patching, got {cfg.patch_ratio}")
     if not cfg.use_map:
         floor = FIXED_PATCH_LEN - FIXED_PATCH_STRIDE
         short = [n for n in periods if n < floor]

@@ -36,10 +36,6 @@ def derive_patch_params(window_len: int, n_patches: int, ratio: int = 2) -> Patc
     The stride floor(n / N) is clamped to 1 so windows shorter than the patch
     count stay usable (they get left-padded by fit_length).
     """
-    if window_len < 1:
-        raise ValueError(f"window length must be >= 1, got {window_len}")
-    if n_patches < 2:
-        raise ValueError(f"patch count must be >= 2, got {n_patches}")
     stride = max(1, window_len // n_patches)
     return PatchParams(window_len, stride, ratio * stride, n_patches)
 
@@ -48,13 +44,9 @@ def fixed_patch_params(window_len: int, patch_len: int = 16, stride: int = 8) ->
     """Fixed-geometry patching; the patch count now grows with the window.
 
     Used by the adaptive-patching ablation. Requires window_len >= L - K so
-    at least one patch exists after end padding.
+    at least one patch exists after end padding, which `validate_config`
+    checks.
     """
-    if window_len < patch_len - stride:
-        raise ValueError(
-            f"window length {window_len} too short for fixed patching "
-            f"(needs >= {patch_len - stride} with L={patch_len}, K={stride})"
-        )
     count = (window_len - patch_len) // stride + 2
     return PatchParams(window_len, stride, patch_len, count)
 

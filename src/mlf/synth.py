@@ -106,11 +106,8 @@ GENERATORS = {
 
 
 def generate(kind: str, n_steps: int, n_channels: int, seed: int) -> SeriesDataset:
-    try:
-        maker = GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown synthetic kind {kind!r}, expected one of {sorted(GENERATORS)}") from None
-    return maker(n_steps, n_channels, seed)
+    """The series of `kind`, a key of GENERATORS."""
+    return GENERATORS[kind](n_steps, n_channels, seed)
 
 
 def write_csv(ds: SeriesDataset, path: str) -> None:

@@ -274,7 +274,7 @@ def test_no_grad_is_restored_after_an_exception():
         with no_grad():
             raise RuntimeError("raised inside no_grad")
     y = mul(x, x)
-    assert y.requires_grad and y._parents == (x, x)
+    assert y.requires_grad and y._fn.parents == (x, x)
 
 
 def test_a_dropped_intermediate_is_freed_while_its_graph_lives():

@@ -25,15 +25,33 @@ def sample_checkpoint(seed=0):
     )
 
 
+def same_checkpoint(a, b):
+    """Equal config, normalization and tensors, bit for bit."""
+    return (a.config == b.config and a.normalization == b.normalization and a.arrays.keys() == b.arrays.keys()
+            and all(np.array_equal(a.arrays[k], b.arrays[k]) for k in a.arrays))
+
+
+def header_of(path):
+    """A saved checkpoint's bytes, the end of its header, and the header."""
+    blob = Path(path).read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
+    return blob, end, json.loads(blob[start:end])
+
+
 def test_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "model.mlfckpt")
     ckpt = sample_checkpoint()
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
-    assert loaded == ckpt
+    assert same_checkpoint(loaded, ckpt)
     for name in ckpt.arrays:
         assert loaded.arrays[name].dtype == np.float64
         assert np.array_equal(loaded.arrays[name], ckpt.arrays[name])
+    # magic, header length, header, then the tensors back to back: no offset, no gap, no tail
+    blob, end, header = header_of(path)
+    assert [sorted(entry) for entry in header["tensors"]] == [["name", "shape"]] * 2
+    assert len(blob) == end + sum(8 * a.size for a in ckpt.arrays.values())
 
 
 def test_same_state_gives_identical_bytes(tmp_path):
@@ -60,15 +78,14 @@ def test_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def rewrite_header(path, edit):
-    """Apply `edit` to a saved checkpoint's JSON header, keeping the payload."""
-    blob = Path(path).read_bytes()
-    start = len(MAGIC) + 8
-    end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
-    header = json.loads(blob[start:end])
+def rewrite_header(path, edit, payload=None):
+    """Apply `edit` to a saved checkpoint's JSON header and, if given,
+    `payload` to the bytes after it."""
+    blob, end, header = header_of(path)
     edit(header)
     new = json.dumps(header).encode("utf-8")
-    Path(path).write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + blob[end:])
+    data = payload(blob[end:]) if payload else blob[end:]
+    Path(path).write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + data)
 
 
 def test_header_without_tensor_table_rejected(tmp_path):
@@ -82,31 +99,30 @@ def test_header_without_tensor_table_rejected(tmp_path):
 def test_tensor_shape_disagreeing_with_nbytes_rejected(tmp_path):
     path = str(tmp_path / "badshape.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    rewrite_header(path, lambda h: h["tensors"][0].update(shape=[5, 5]))
-    with pytest.raises(CheckpointError, match=r"shape \[5, 5\] but 32 bytes"):
+    rewrite_header(path, lambda h: h["tensors"][0].update(shape=[5, 5]))  # "b" has 4 values, "w" 12
+    with pytest.raises(CheckpointError, match=r"the tensors take 296 bytes but 128 follow the header \(truncated"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
-    "entry, needle",
+    "entry, payload, needle",
     [
-        ({"offset": -8}, "offset -8 is outside"),
-        ({"offset": "0"}, "offset '0' is outside"),
-        ({"shape": [-2, -2]}, "shape [-2, -2] but 32 bytes"),
-        ({"shape": ["4"]}, "shape ['4'] but 32 bytes"),
-        ({"nbytes": 32.0}, "shape [4] but 32.0 bytes"),
-        ({"shape": [True, 4]}, "shape [True, 4] but 32 bytes"),
-        ({"name": ["b"]}, "the name is not a string"),
-        ({"offset": 4}, "tensor data for b at offset 4 is not 8-byte aligned"),
-        ({"offset": 8}, "tensor data for b and w overlap"),  # "w" starts at byte 32
+        ({"shape": [-2, -2]}, None, "tensor b has shape [-2, -2], not a list of integers >= 0"),
+        ({"shape": ["4"]}, None, "tensor b has shape ['4'], not a list of integers >= 0"),
+        ({"shape": [4.0]}, None, "tensor b has shape [4.0], not a list of integers >= 0"),
+        ({"shape": [True, 4]}, None, "tensor b has shape [True, 4], not a list of integers >= 0"),
+        ({"name": ["b"]}, None, "the name is not a string"),
+        ({"name": "w"}, None, "tensor w appears twice in the header"),
+        ({}, lambda data: data[:-8], "the tensors take 128 bytes but 120 follow the header (truncated"),
+        ({}, lambda data: data + b"\0", "the tensors take 128 bytes but 129 follow the header (truncated"),
     ],
-    ids=["negative-offset", "text-offset", "negative-dims", "text-dim", "float-nbytes", "bool-dim", "list-name",
-         "unaligned-offset", "overlapping"],
+    ids=["negative-dims", "text-dim", "float-dim", "bool-dim", "list-name", "repeated-name", "truncated-payload",
+         "trailing-byte"],
 )
-def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_path, capsys, entry, needle):
+def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_path, capsys, entry, payload, needle):
     path = str(tmp_path / "entry.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    rewrite_header(path, lambda h: h["tensors"][0].update(entry))  # tensor "b": shape [4], offset 0
+    rewrite_header(path, lambda h: h["tensors"][0].update(entry), payload)  # tensor "b": shape [4]
     code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
     err = capsys.readouterr().err
     assert code == 1
@@ -114,7 +130,7 @@ def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsys, version):
     path = str(tmp_path / f"v{version}.ckpt")
     save_checkpoint(path, sample_checkpoint())
@@ -283,7 +299,7 @@ def test_non_finite_tensor_fails_with_one_checkpoint_error_line(tmp_path, capsys
         assert err == f"error[checkpoint]: {path}: tensor w holds NaN or Inf values\n", err
 
 
-def test_finiteness_check_names_the_first_bad_tensor_and_ignores_unclaimed_bytes(tmp_path):
+def test_finiteness_check_names_the_first_bad_tensor_and_rejects_trailing_bytes(tmp_path):
     path = str(tmp_path / "nonfinite.ckpt")
     ckpt = sample_checkpoint()
     ckpt.arrays["b"][0] = ckpt.arrays["w"][0, 0] = np.nan
@@ -291,6 +307,7 @@ def test_finiteness_check_names_the_first_bad_tensor_and_ignores_unclaimed_bytes
     with pytest.raises(CheckpointError, match="tensor b holds NaN or Inf"):  # b is first in header order
         load_checkpoint(path)
     save_checkpoint(path, sample_checkpoint())
-    with open(path, "ab") as fh:  # trailing bytes that no tensor claims
+    with open(path, "ab") as fh:  # a NaN past the last tensor is no tensor's, so the size fails first
         fh.write(np.array([np.nan]).tobytes())
-    assert load_checkpoint(path) == sample_checkpoint()
+    with pytest.raises(CheckpointError, match="the tensors take 128 bytes but 136 follow the header"):
+        load_checkpoint(path)

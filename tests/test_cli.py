@@ -356,9 +356,7 @@ def test_retrain_from_snapshot_reproduces_checkpoint(trained, tmp_path, capsys):
     rerun_dir = tmp_path / "rerun"
     code, _, err = run_cli(capsys, "train", str(snapshot), "--output", str(rerun_dir))
     assert code == 0, err
-    a = load_checkpoint(str(out_dir / "checkpoint.mlfckpt"))
-    b = load_checkpoint(str(rerun_dir / "checkpoint.mlfckpt"))
-    assert a == b
+    assert (out_dir / "checkpoint.mlfckpt").read_bytes() == (rerun_dir / "checkpoint.mlfckpt").read_bytes()
 
 
 def save_toy_checkpoint(path, normalization, **model_fields):
@@ -445,6 +443,22 @@ def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, n
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_path, capsys, command):
+    path = save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM)
+    ckpt = load_checkpoint(path)
+    for s in range(len(TOY_MODEL["period_lengths"])):
+        ckpt.arrays[f"embed.p{s}.proj"] *= 1e300  # finite weights, non-finite forecast
+    save_checkpoint(path, ckpt)
+    out_csv = tmp_path / "forecast.csv"
+    argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, *argv, *(["--output", str(out_csv)] if command == "forecast" else []))
+    assert code == 1
+    assert err == "error[metric]: predictions hold NaN or Inf\n"
+    assert out == "" and not out_csv.exists()
+
+
 @pytest.mark.parametrize(
     "override, needle",
     [
@@ -453,8 +467,10 @@ def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, n
         ("model.epochs=1.5", "model.epochs must be an integer, got 1.5"),
         ("model.period_lengths=[1]", "positive and the longest >= 2"),
         ("model.grad_clip=-1", "model.grad_clip must be >= 0, got -1"),
+        ("model.patch_ratio=5", "model.patch_ratio must be 2 under adaptive patching, got 5"),
     ],
-    ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one", "grad-clip-negative"],
+    ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one", "grad-clip-negative",
+         "patch-ratio-five"],
 )
 def test_mistyped_model_field_is_one_config_error_line(toy_run, capsys, override, needle):
     path, out_dir = toy_run
@@ -504,6 +520,7 @@ BAD_DATASET_SECTIONS = {
     "kind-unknown": ({"synthetic": {"kind": "wave"}}, "dataset.synthetic.kind must be one of ["),
     "stride-zero": ({"anchor_stride": 0}, "dataset.anchor_stride must be an integer >= 1, got 0"),
     "key-unknown": ({"anchr_stride": 5}, "dataset has unknown key(s): ['anchr_stride']"),
+    "format-unknown": ({"format": "parquet"}, "dataset.format must be 'generic' or 'fund', got 'parquet'"),
     "split-key-unknown": ({"split": {"ratio": [1, 1, 1]}}, "dataset.split has unknown key(s): ['ratio']"),
     "synthetic-key-unknown": ({"synthetic": {"n_step": 50}}, "dataset.synthetic has unknown key(s): ['n_step']"),
 }

@@ -5,7 +5,6 @@ import pytest
 
 import mlf.model
 from mlf.autograd import (
-    ShapeError,
     Tensor,
     add,
     average,
@@ -39,11 +38,6 @@ def test_attention_scores_are_convex_weights():
 def test_single_token_attention_is_identity_on_values():
     scores = softmax(Tensor(np.random.default_rng(1).standard_normal((2, 1, 1))), axis=-1)
     assert np.allclose(scores.data, 1.0)
-
-
-def test_block_requires_divisible_heads():
-    with pytest.raises(ShapeError, match="divisible"):
-        EncoderBlock(store(), "b", 6, 4, 12)
 
 
 def test_block_preserves_shape_and_scores_are_stochastic():

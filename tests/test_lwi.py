@@ -64,11 +64,6 @@ def test_feature_gradients_match_finite_differences():
     assert report.passed, str(report)
 
 
-def test_rejects_degenerate_window():
-    with pytest.raises(ValueError, match=">= 2"):
-        make(window_len=1)
-
-
 # -- integration -----------------------------------------------------------------
 
 

@@ -78,6 +78,11 @@ def test_config_defaults_match_contract():
         (dict(period_lengths=(8,), horizon=1, n_patches=1, squeeze_factor=1), "model.n_patches must be >= 2, got 1"),
         (dict(period_lengths=(8,), horizon=1, patch_ratio=0), "model.patch_ratio must be >= 1, got 0"),
         (dict(period_lengths=(8,), horizon=1, batch_size=0), "model.batch_size must be >= 1, got 0"),
+        (dict(period_lengths=(8, 16), horizon=1, n_patches=2, squeeze_factor=1, patch_ratio=5),
+         "model.patch_ratio must be 2 under adaptive patching, got 5"),
+        (dict(period_lengths=(8,), horizon=1, n_patches=4, squeeze_factor=1, patch_ratio=3),
+         "model.patch_ratio must be 2 under adaptive patching, got 3"),
+        (dict(period_lengths=(0, 8), horizon=1), "model.period_lengths must be positive"),
     ],
 )
 def test_config_validation(kwargs, match):

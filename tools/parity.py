@@ -6,7 +6,15 @@ Run it from the root of one tree, then from the root of another (for example
 the parent commit exported with `git archive` into a temporary directory),
 and compare the two lines: equal lines mean that the two trees train, score,
 save and forecast to the same bits. The `src` of the tree that holds this
-file is imported, whatever the working directory.
+file is imported, whatever the working directory. To see which digests
+differ, save each line to a file and compare them key by key:
+
+    python3 -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]);
+    print(sum(a[k] == b[k] for k in a), "equal:", sorted(k for k in a if a[k] != b[k]))' a.json b.json
+
+A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
+the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
+CSV and every restored digest stay equal.
 
 It covers the desk config on regime-switching data, as base and with each
 ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
