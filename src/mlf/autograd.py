@@ -3,8 +3,9 @@
 A Tensor wraps a numpy array and, when it participates in a differentiable
 computation, records the operation that produced it in a tape entry: edges to
 its parents, a vector-Jacobian-product closure and the op name. `backward()`
-walks the recorded graph once in reverse topological order and accumulates
-gradients into the leaves that requested them. Inside `with no_grad():`
+walks the recorded graph once in reverse topological order, accumulates
+gradients into the leaves that requested them and empties each tape entry once
+its vjp has run, so a graph can be walked only once. Inside `with no_grad():`
 nothing is recorded, as with `torch.no_grad`. The model's inference forward
 runs in it, so inference records nothing and frees each array once unread.
 
@@ -61,7 +62,7 @@ class _Fn:
     """The tape entry of one recorded output: its parent edges, vjp and op.
 
     It holds no output data. Entries always need a gradient, so `backward`
-    treats an entry and a requires_grad leaf alike.
+    treats an entry and a requires_grad leaf alike, and empties it after its vjp.
     """
 
     __slots__ = ("parents", "vjp", "op")
@@ -292,9 +293,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax: subtracts the per-slice maximum first."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -382,8 +383,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     w_data = weight.data
     out = np.zeros((batch, f, t), dtype=np.float64)
+    term = np.empty_like(out)
     for j in range(k):
-        out += np.einsum("fc,bct->bft", w_data[:, :, j], xpad[:, :, j : j + t])
+        out += np.einsum("fc,bct->bft", w_data[:, :, j], xpad[:, :, j : j + t], out=term)
     parents = [x, weight]
     if bias is not None:
         bias = _lift(bias)
@@ -451,29 +453,24 @@ def batch_norm(
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-
-        def vjp(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            dxhat = g * g_col
-            mean_dxhat = dxhat.mean(axis=axes, keepdims=True)
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            dx = inv_std[None, :, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-            return dx, dgamma, dbeta
-
     else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean[None, :, None]) * inv_std[None, :, None]
+        mean, var = running_mean, running_var
+    inv_std = (1.0 / np.sqrt(var + eps))[None, :, None]
+    xhat = x.data - mean[None, :, None]
+    xhat *= inv_std
 
-        def vjp(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            dx = g * g_col * inv_std[None, :, None]
-            return dx, dgamma, dbeta
+    def vjp(g):
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        if not training:
+            return g * g_col * inv_std, dgamma, dbeta
+        dxhat = g * g_col
+        mean_dxhat = dxhat.mean(axis=axes, keepdims=True)
+        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), dgamma, dbeta
 
-    out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    out = xhat * g_col
+    out += beta.data[None, :, None]
     return _node(out, (x, gamma, beta), vjp, "batch_norm")
 
 
@@ -510,9 +507,11 @@ def backward(loss: Tensor) -> None:
 
     The graph is the tape entries below `loss`: for each recorded output, the
     edges to its parents (their entries, or the leaves themselves) and a vjp
-    closed over the arrays it reads; no output's data is kept. Repeated calls
-    without clearing grads add up, since the walk frees nothing. Adjoints live
-    in a per-pass table, so each node is processed exactly once per call.
+    closed over the arrays it reads; no output's data is kept. Each entry is
+    emptied right after its vjp has run, which frees what it read (as PyTorch
+    frees saved tensors), so a later call that reaches it raises ValueError.
+    Leaf gradients of separate graphs add up. Adjoints live in a per-pass
+    table, so each node is processed exactly once per call.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -535,6 +534,8 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         if isinstance(node, _Fn):
+            if node.vjp is None:
+                raise ValueError(f"backward already walked the graph through this {node.op!r} node and freed it")
             for parent in node.parents:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
@@ -547,7 +548,9 @@ def backward(loss: Tensor) -> None:
         if isinstance(node, Tensor):
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        grads, parents = node.vjp(g), node.parents
+        node.parents, node.vjp = (), None  # frees what the vjp read
+        for parent, pg in zip(parents, grads):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

@@ -64,10 +64,12 @@ class EncoderBlock:
         scale = 1.0 / np.sqrt(self.d_k)
         scores = softmax(scale * matmul(transpose(q), k), axis=-1)  # (B, H, N, N)
         merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
+        kept = scores.data.swapaxes(0, 1) if collect_scores else None
+        del q, k, v, scores  # only the tape, if any, keeps them through the feed-forward
         u = self.norm_attn(add(x, matmul(transpose(self.w_out), merged)), training=training)
         f = self.ff_out(relu(self.ff_in(u)))
         z = self.norm_ff(add(u, f), training=training)
-        return z, scores.data.swapaxes(0, 1) if collect_scores else None
+        return z, kept
 
 
 class SppHead:

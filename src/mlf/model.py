@@ -351,6 +351,7 @@ class MlfModel:
                 compact = self.patch_encoders[s](embedded)  # (B, D, N_s/r)
                 squeezed.append(compact)
                 reconstructions.append(self.decoders[s](compact))
+            del patches, embedded, compact  # the lists hold what later stages read
 
             tokens = concat_periods(squeezed)  # (B, D, N_tok)
             block_forecasts: list[list[Tensor]] = []

@@ -153,6 +153,7 @@ def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg:
         bundle = model.forward(windows, training=False)
         loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
         total += float(loss.total.data) * targets.shape[0]
+        del bundle, loss  # the next forward runs without this batch
     return total / channels.size
 
 
@@ -214,6 +215,7 @@ def evaluate(
                     attn_sum = np.zeros(scores.shape[-2:])
                 attn_sum += scores.sum(axis=(0, 1))
                 attn_count += scores.shape[0] * scores.shape[1]
+        del bundle
 
     if ds.norm is None:
         preds_orig, targets_orig = preds, targets

@@ -239,13 +239,24 @@ def test_backward_sum_gives_ones():
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
-def test_backward_accumulates_on_repeat():
+def test_leaf_gradients_add_up_across_separate_graphs():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = sum_all(mul(x, x))
+    backward(sum_all(mul(x, x)))
+    first = x.grad.copy()
+    backward(sum_all(mul(x, x)))
+    assert np.array_equal(x.grad, 2.0 * first)
+
+
+def test_a_second_backward_over_a_walked_graph_is_one_value_error():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    h = tanh(x)
+    loss = sum_all(mul(h, h))
     backward(loss)
     first = x.grad.copy()
-    backward(loss)
-    assert np.array_equal(x.grad, 2.0 * first)
+    for again in (loss, sum_all(h)):  # the walked root, and a new root over a walked entry
+        with pytest.raises(ValueError, match="already walked"):
+            backward(again)
+    assert np.array_equal(x.grad, first)
 
 
 def test_backward_requires_scalar():
@@ -292,6 +303,18 @@ def test_a_dropped_intermediate_is_freed_while_its_graph_lives():
     assert probe() is None
     backward(loss)
     assert np.array_equal(w.grad, expected[0]) and np.array_equal(b.grad, expected[1])
+
+
+def test_backward_frees_each_array_a_vjp_read_while_the_loss_lives():
+    rng = np.random.default_rng(13)
+    w = leaf(rng, 4, 3)
+    y = tanh(matmul(Tensor(rng.standard_normal((5, 4))), w))
+    probe = weakref.ref(y.data)  # tanh's vjp reads its output
+    loss = sum_all(mul(y, y))
+    del y
+    assert probe() is not None
+    backward(loss)
+    assert probe() is None and loss._fn.vjp is None
 
 
 def test_backward_through_small_network():

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +459,22 @@ def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_p
     assert code == 1
     assert err == "error[metric]: predictions hold NaN or Inf\n"
     assert out == "" and not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_weights_that_overflow_print_one_stderr_line_when_run_as_a_program(tmp_path, command):
+    """In its own process, where numpy prints its warnings; under pytest they raise instead."""
+    path = save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM)
+    ckpt = load_checkpoint(path)
+    for s in range(len(TOY_MODEL["period_lengths"])):
+        ckpt.arrays[f"embed.p{s}.proj"] *= 1e300
+    save_checkpoint(path, ckpt)
+    argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
+    argv += ["--output", str(tmp_path / "f.csv")] if command == "forecast" else []
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "mlf.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "error[metric]: predictions hold NaN or Inf\n")
+    assert done.stdout == "" and not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Config validation, forward-pass contracts, loss decomposition, ablations."""
 
+import weakref
 from dataclasses import replace
 from fnmatch import fnmatch
 
 import numpy as np
 import pytest
 
+from mlf import model as model_module
 from mlf.autograd import ShapeError, backward, mse
-from mlf.encoder import SppHead
+from mlf.encoder import EncoderBlock, SppHead
 from mlf.model import (
     ABLATION_FLAGS,
     ConfigError,
@@ -19,6 +21,8 @@ from mlf.model import (
     seed_streams,
 )
 from mlf.squeeze import reconstruction_loss
+
+from conftest import regime_config
 
 TOY = MlfConfig(
     period_lengths=(4, 8),
@@ -236,6 +240,42 @@ def test_block_average_and_reconstruction_term_equal_the_left_to_right_loop(monk
     terms = [mse(rec, ref) for rec, ref in zip(bundle.reconstructions, bundle.raw_patches)]
     recon = reconstruction_loss(bundle.reconstructions, bundle.raw_patches)
     assert np.array_equal(recon.data, loop_mean(terms).data)
+
+
+def test_the_inference_forward_frees_its_temporaries(monkeypatch):
+    """Every period's embedding is dead when the first block starts, and the
+    block's q, k and v are dead when its feed-forward runs."""
+    embedded, heads, dead = [], [], {}
+    run_embed, run_heads, run_block = model_module.embed, EncoderBlock._heads, EncoderBlock.__call__
+
+    def record_embed(*args):
+        out = run_embed(*args)
+        embedded.append(weakref.ref(out.data))
+        return out
+
+    def record_heads(self, w, x):
+        out = run_heads(self, w, x)
+        heads.append(weakref.ref(out.data))
+        return out
+
+    def enter_block(self, x, **kwargs):
+        dead.setdefault("embedded", [ref() is None for ref in embedded])
+        return run_block(self, x, **kwargs)
+
+    monkeypatch.setattr(model_module, "embed", record_embed)
+    monkeypatch.setattr(EncoderBlock, "_heads", record_heads)
+    monkeypatch.setattr(EncoderBlock, "__call__", enter_block)
+    cfg = regime_config()
+    model = build_model(cfg, seed=0)
+    first, run_ff_in = model.blocks[0], model.blocks[0].ff_in
+
+    def enter_ff(u):
+        dead.setdefault("qkv", [ref() is None for ref in heads])
+        return run_ff_in(u)
+
+    first.ff_in = enter_ff
+    model.forward(toy_windows(batch=16, cfg=cfg), training=False)
+    assert dead == {"embedded": [True] * cfg.n_periods, "qkv": [True] * 3}
 
 
 # -- ablation switches -------------------------------------------------------------
