@@ -31,7 +31,9 @@ MAGIC = b"MLFCKPT1"
 # (block{e}.wq|wk|wv) instead of one tensor per head; the values are unchanged.
 # Version 4: a tensor entry is {name, shape} only; the data follow back to back
 # in header order, so no stored offset can disagree with the bytes.
-FORMAT_VERSION = 4
+# Version 5: the config no longer stores a patch length to stride ratio
+# (L = 2K is the one rule); the tensors are unchanged.
+FORMAT_VERSION = 5
 
 
 class CheckpointError(ValueError):

@@ -220,6 +220,12 @@ def data_record(ds: SeriesDataset) -> dict:
     return {"rows": ds.n_steps, "sha256": digest}
 
 
+def json_text(record, **kwargs) -> str:
+    """Strict JSON of a record: a non-finite number, which a run without
+    validation rows or without an epoch leaves, is written as null."""
+    return json.dumps(json.loads(json.dumps(record), parse_constant=lambda _: None), **kwargs)
+
+
 def write_resolved_config(out_dir: str, raw: dict) -> None:
     with open(os.path.join(out_dir, RESOLVED_CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(raw, fh, indent=2, sort_keys=True)
@@ -242,7 +248,7 @@ def cmd_train(args) -> int:
     with open(log_path, "w", encoding="utf-8") as log:
 
         def log_fn(record):
-            log.write(json.dumps(record.to_dict()) + "\n")
+            log.write(json_text(record.to_dict()) + "\n")
             log.flush()
             print(
                 f"epoch {record.epoch}: train loss {record.train_loss:.6f} "
@@ -259,7 +265,7 @@ def cmd_train(args) -> int:
             "steps": result.steps,
             "test": test.to_dict(),
         }
-        log.write(json.dumps(final) + "\n")
+        log.write(json_text(final) + "\n")
 
     ckpt_path = os.path.join(out_dir, CHECKPOINT_FILE)
     save_checkpoint(ckpt_path, make_checkpoint(model, ds, raw, record))
@@ -322,6 +328,10 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"{args.checkpoint}: corrupt header: meta.run.{exc}") from None
     model = restore_model(ckpt)
     cfg = model.config
+    if args.export_attention is not None and not cfg.use_attention:
+        raise UsageError("attention export requires a model with attention enabled")
+    if args.export_weights is not None and not cfg.use_lwi:
+        raise UsageError("weight export requires the learned-integration head")
     ds = read_dataset(args.data, args.format)
     # The split is recomputed from the file, so only the training data itself
     # scores the rows the checkpoint's run held out. Checkpoints written
@@ -344,11 +354,9 @@ def cmd_eval(args) -> int:
             collect_attention=args.export_attention is not None,
             fund_style=args.format == "fund",
         )
-    print(json.dumps(result.to_dict(), indent=2))
+    print(json_text(result.to_dict(), indent=2))
 
     if args.export_attention is not None:
-        if result.attention_mean is None:
-            raise UsageError("attention export requires a model with attention enabled")
         np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.17g")
         sidecar = {
             "token_ranges": [
@@ -360,8 +368,6 @@ def cmd_eval(args) -> int:
             json.dump(sidecar, fh, indent=2)
         print(f"attention matrix: {args.export_attention}")
     if args.export_weights is not None:
-        if result.att_mean is None:
-            raise UsageError("weight export requires the learned-integration head")
         np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.17g")
         print(f"integration weights: {args.export_weights}")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, add, concat, matmul, relu, reshape, softmax, transpose
+from .autograd import Tensor, add, concat, matmul, relu, reshape, softmax, transpose
 from .layers import BatchNorm, ChannelLinear, Linear, ParamStore
 
 
@@ -130,7 +130,5 @@ def _match_tokens(x: Tensor, n_tokens: int) -> Tensor:
     have = x.shape[-1]
     if have == n_tokens:
         return x
-    if have > n_tokens:
-        raise ShapeError(f"redundancy block has {have} tokens but target has {n_tokens}")
     pad = Tensor(np.zeros(x.shape[:-1] + (n_tokens - have,)))
     return concat([x, pad], axis=-1)

@@ -73,8 +73,6 @@ class WeightIntegrator:
 def integrate(period_forecasts: list[Tensor], att: Tensor) -> Tensor:
     """LWI: scale each period's forecast by its weights att[:, s, :], in period
     order, then take the one mean across periods, `integrate_plain`."""
-    if att.shape[-2] != len(period_forecasts):
-        raise ValueError(f"weight tensor covers {att.shape[-2]} periods, got {len(period_forecasts)} forecasts")
     batch, horizon = period_forecasts[0].shape
     terms = [mul(f, reshape(narrow(att, -2, s, 1), (batch, horizon))) for s, f in enumerate(period_forecasts)]
     return integrate_plain(terms)

@@ -48,7 +48,6 @@ class MlfConfig:
     n_blocks: int = 3
     d_ff: int = 0  # 0 means 2 * d_model
     conv_filters: int = 16
-    patch_ratio: int = 2
     learning_rate: float = 1e-4
     batch_size: int = 128
     epochs: int = 30
@@ -114,7 +113,7 @@ def has_type(value, annotation: str) -> bool:
 
 # The least valid value of each numeric field that has one; 0 is the "off" or
 # "default" value of d_ff, grad_clip and max_steps.
-LEAST_VALUES = {"horizon": 1, "n_patches": 2, "n_blocks": 1, "patch_ratio": 1, "batch_size": 1, "epochs": 0,
+LEAST_VALUES = {"horizon": 1, "n_patches": 2, "n_blocks": 1, "batch_size": 1, "epochs": 0,
                 "learning_rate": 0, "conv_filters": 1, "d_ff": 0, "grad_clip": 0, "max_steps": 0}
 
 
@@ -141,8 +140,6 @@ def validate_config(cfg: MlfConfig) -> None:
         )
     if cfg.d_model < 1 or cfg.n_heads < 1 or cfg.d_model % cfg.n_heads != 0:
         raise ConfigError(f"model.d_model ({cfg.d_model}) must be a positive multiple of n_heads ({cfg.n_heads})")
-    if cfg.use_map and cfg.patch_ratio != 2:  # only L = 2K cuts n_patches*K steps into n_patches patches
-        raise ConfigError(f"model.patch_ratio must be 2 under adaptive patching, got {cfg.patch_ratio}")
     if not cfg.use_map:
         floor = FIXED_PATCH_LEN - FIXED_PATCH_STRIDE
         short = [n for n in periods if n < floor]
@@ -153,26 +150,11 @@ def validate_config(cfg: MlfConfig) -> None:
             )
 
 
-@dataclass(frozen=True)
-class PeriodGeometry:
-    """Patch layout and squeezed token count for one period."""
-
-    params: PatchParams
-    n_squeezed: int
-
-
-def period_geometries(cfg: MlfConfig) -> list[PeriodGeometry]:
-    geoms = []
-    for n in cfg.period_lengths:
-        if cfg.use_map:
-            params = derive_patch_params(n, cfg.n_patches, cfg.patch_ratio)
-            squeezed = cfg.n_patches // cfg.squeeze_factor
-        else:
-            params = fixed_patch_params(n, FIXED_PATCH_LEN, FIXED_PATCH_STRIDE)
-            # Patch counts vary per period here; keep at least one token.
-            squeezed = max(1, -(-params.n_patches // cfg.squeeze_factor))
-        geoms.append(PeriodGeometry(params, squeezed))
-    return geoms
+def period_geometries(cfg: MlfConfig) -> list[PatchParams]:
+    """Each period's patch geometry: MAP's, or the ablation's fixed one."""
+    if cfg.use_map:
+        return [derive_patch_params(n, cfg.n_patches) for n in cfg.period_lengths]
+    return [fixed_patch_params(n, FIXED_PATCH_LEN, FIXED_PATCH_STRIDE) for n in cfg.period_lengths]
 
 
 @dataclass
@@ -216,6 +198,12 @@ class MlfModel:
     per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
     Given `state` in place of `rng`, the model takes every array from it and
     draws nothing (see `ParamStore`).
+
+    Period s has `block_sizes[s]` = max(1, ceil(n_patches / squeeze_factor))
+    tokens after the squeeze. Under adaptive patching every period has
+    n_patches patches, a multiple of the squeeze factor, so each has
+    n_patches / squeeze_factor tokens; under the ablation the count grows
+    with the period, as its patch count does.
     """
 
     def __init__(self, config: MlfConfig, rng: np.random.Generator | None = None, *, state: dict | None = None):
@@ -224,35 +212,30 @@ class MlfModel:
         store = ParamStore(rng, state)
         self.store = store
         cfg = config
+        self.block_sizes = [max(1, -(-p.n_patches // cfg.squeeze_factor)) for p in self.geometries]
+        self.token_ranges = [(sum(self.block_sizes[:s]), sum(self.block_sizes[: s + 1])) for s in range(cfg.n_periods)]
 
         # Per-period patch embeddings: projection into model space plus a
         # learned positional table.
         self.w_proj: list[Tensor] = []
         self.w_pos: list[Tensor] = []
         for s, geom in enumerate(self.geometries):
-            length = geom.params.patch_len
+            length = geom.patch_len
             self.w_proj.append(store.uniform(f"embed.p{s}.proj", (cfg.d_model, length), 1.0 / np.sqrt(length)))
-            self.w_pos.append(store.normal(f"embed.p{s}.pos", (cfg.d_model, geom.params.n_patches), 0.02))
+            self.w_pos.append(store.normal(f"embed.p{s}.pos", (cfg.d_model, geom.n_patches), 0.02))
 
         # Squeeze encoder: one shared map under adaptive patching; per-period
         # maps when patch counts differ (adaptive-patching ablation).
         if cfg.use_map:
-            shared = PatchEncoder(store, "squeeze.enc", cfg.n_patches, cfg.n_patches // cfg.squeeze_factor)
+            shared = PatchEncoder(store, "squeeze.enc", cfg.n_patches, self.block_sizes[0])
             self.patch_encoders = [shared] * cfg.n_periods
         else:
             self.patch_encoders = [
-                PatchEncoder(store, f"squeeze.enc.p{s}", g.params.n_patches, g.n_squeezed)
+                PatchEncoder(store, f"squeeze.enc.p{s}", g.n_patches, self.block_sizes[s])
                 for s, g in enumerate(self.geometries)
             ]
         self.decoders = [
-            PeriodDecoder(
-                store,
-                f"squeeze.dec.p{s}",
-                cfg.d_model,
-                g.params.patch_len,
-                g.params.n_patches,
-                g.n_squeezed,
-            )
+            PeriodDecoder(store, f"squeeze.dec.p{s}", cfg.d_model, g.patch_len, g.n_patches, self.block_sizes[s])
             for s, g in enumerate(self.geometries)
         ]
 
@@ -266,11 +249,11 @@ class MlfModel:
                     store,
                     f"block{e}.spp.p{s}",
                     cfg.d_model,
-                    g.n_squeezed,
+                    self.block_sizes[s],
                     cfg.horizon,
                     redundancy=e < cfg.n_blocks - 1 and s < cfg.n_periods - 1,
                 )
-                for s, g in enumerate(self.geometries)
+                for s in range(cfg.n_periods)
             ]
             for e in range(cfg.n_blocks)
         ]
@@ -283,11 +266,6 @@ class MlfModel:
             cfg.period_lengths[-1],
             cfg.conv_filters,
         )
-
-        sizes = [g.n_squeezed for g in self.geometries]
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        self.block_sizes = sizes
-        self.token_ranges = [(int(starts[s]), int(starts[s + 1])) for s in range(cfg.n_periods)]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -345,7 +323,7 @@ class MlfModel:
             squeezed: list[Tensor] = []
             reconstructions: list[Tensor] = []
             for s, geom in enumerate(self.geometries):
-                patches = Tensor(make_patches(windows[s], geom.params, adaptive=cfg.use_map))
+                patches = Tensor(make_patches(windows[s], geom))
                 raw_patches.append(patches)
                 embedded = embed(patches, self.w_proj[s], self.w_pos[s])  # (B, D, N_s)
                 compact = self.patch_encoders[s](embedded)  # (B, D, N_s/r)

@@ -1,9 +1,11 @@
-"""Adaptive patching: turn windows of any length into a fixed patch count.
+"""Adaptive patching (MAP): turn windows of any length into a fixed patch count.
 
-Each input window is cut into overlapping patches of length L taken at
-stride K. Choosing K = floor(n / N_target) and L = ratio * K per window
-length makes every window produce exactly N_target patches, so short and
-long histories feed the encoder the same number of tokens.
+Each window is cut into overlapping patches of length L = 2K taken at
+stride K = floor(n / N), after it is fitted to N * K steps, so every period
+yields exactly N patches: short and long histories feed the encoder the
+same number of tokens. The ablation cuts the whole window into patches of a
+fixed L and K instead, so its patch count grows with the window. Both are one
+`PatchParams`, and `make_patches` is the one path: fit, then patchify.
 """
 
 from __future__ import annotations
@@ -12,43 +14,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, add, matmul
+from .autograd import Tensor, add, matmul
 
 
 @dataclass(frozen=True)
 class PatchParams:
-    """Patch geometry for one window length."""
+    """Patch geometry of one period: windows are fitted to `fitted_len`
+    steps, then cut into `n_patches` patches of length L at stride K."""
 
-    window_len: int  # incoming window length n
+    fitted_len: int
     stride: int  # K
-    patch_len: int  # L = ratio * K
-    n_patches: int  # patch count this geometry produces
-
-    @property
-    def fitted_len(self) -> int:
-        """Window length that yields exactly n_patches patches."""
-        return self.n_patches * self.stride
+    patch_len: int  # L
+    n_patches: int
 
 
-def derive_patch_params(window_len: int, n_patches: int, ratio: int = 2) -> PatchParams:
-    """Stride/length pair that maps `window_len` onto exactly `n_patches` patches.
+def derive_patch_params(window_len: int, n_patches: int) -> PatchParams:
+    """MAP's geometry: K = floor(n / N) and L = 2K over N * K fitted steps.
 
-    The stride floor(n / N) is clamped to 1 so windows shorter than the patch
-    count stay usable (they get left-padded by fit_length).
+    The stride is clamped to 1 so windows shorter than the patch count stay
+    usable (they get left-padded by fit_length).
     """
     stride = max(1, window_len // n_patches)
-    return PatchParams(window_len, stride, ratio * stride, n_patches)
+    return PatchParams(n_patches * stride, stride, 2 * stride, n_patches)
 
 
-def fixed_patch_params(window_len: int, patch_len: int = 16, stride: int = 8) -> PatchParams:
-    """Fixed-geometry patching; the patch count now grows with the window.
+def fixed_patch_params(window_len: int, patch_len: int, stride: int) -> PatchParams:
+    """The adaptive-patching ablation: a fixed L and K over the whole window.
 
-    Used by the adaptive-patching ablation. Requires window_len >= L - K so
-    at least one patch exists after end padding, which `validate_config`
-    checks.
+    Requires window_len >= L - K so at least one patch exists after end
+    padding, which `validate_config` checks.
     """
-    count = (window_len - patch_len) // stride + 2
-    return PatchParams(window_len, stride, patch_len, count)
+    return PatchParams(window_len, stride, patch_len, (window_len - patch_len) // stride + 2)
 
 
 def fit_length(windows: np.ndarray, params: PatchParams) -> np.ndarray:
@@ -73,24 +69,16 @@ def patchify(windows: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     K copies of the last value are appended before slicing, so
     N = floor((n - L) / K) + 2. Patch p occupies column p.
     """
-    n = windows.shape[-1]
-    if n < patch_len - stride:
-        raise ShapeError(f"window length {n} shorter than L-K={patch_len - stride}")
     tail = np.repeat(windows[..., -1:], stride, axis=-1)
     padded = np.concatenate([windows, tail], axis=-1)
     # (..., N, L) strided view, then patch-as-column layout.
     view = np.lib.stride_tricks.sliding_window_view(padded, patch_len, axis=-1)
-    patches = view[..., ::stride, :]
-    expected = (n - patch_len) // stride + 2
-    assert patches.shape[-2] == expected, (patches.shape, expected)
-    return np.ascontiguousarray(patches.swapaxes(-1, -2))
+    return np.ascontiguousarray(view[..., ::stride, :].swapaxes(-1, -2))
 
 
-def make_patches(windows: np.ndarray, params: PatchParams, adaptive: bool = True) -> np.ndarray:
-    """fit_length + patchify for the adaptive path; raw patchify otherwise."""
-    if adaptive:
-        windows = fit_length(windows, params)
-    return patchify(windows, params.patch_len, params.stride)
+def make_patches(windows: np.ndarray, params: PatchParams) -> np.ndarray:
+    """The one patching path: fit_length, then patchify."""
+    return patchify(fit_length(windows, params), params.patch_len, params.stride)
 
 
 def embed(patches: Tensor, w_proj: Tensor, w_pos: Tensor) -> Tensor:
@@ -99,8 +87,4 @@ def embed(patches: Tensor, w_proj: Tensor, w_pos: Tensor) -> Tensor:
     patches: (..., L, N); w_proj: (D, L); w_pos: (D, N). Both weight
     matrices are per-period trainables.
     """
-    if w_proj.shape[-1] != patches.shape[-2]:
-        raise ShapeError(f"projection {w_proj.shape} does not match patches {patches.shape}")
-    if w_pos.shape[-1] != patches.shape[-1]:
-        raise ShapeError(f"positional table {w_pos.shape} does not match patches {patches.shape}")
     return add(matmul(w_proj, patches), w_pos)

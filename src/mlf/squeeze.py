@@ -63,9 +63,6 @@ def concat_periods(squeezed: list[Tensor]) -> Tensor:
 
 def split_periods(tokens: Tensor, block_sizes: list[int]) -> list[Tensor]:
     """Inverse of concat_periods: cut the token axis back into period blocks."""
-    total = tokens.shape[-1]
-    if sum(block_sizes) != total:
-        raise ValueError(f"token count {total} does not match period blocks {block_sizes}")
     out = []
     offset = 0
     for size in block_sizes:
@@ -76,6 +73,4 @@ def split_periods(tokens: Tensor, block_sizes: list[int]) -> list[Tensor]:
 
 def reconstruction_loss(reconstructed: list[Tensor], raw: list[Tensor]) -> Tensor:
     """Mean over periods of the per-period raw-patch MSE."""
-    if len(reconstructed) != len(raw):
-        raise ValueError(f"got {len(reconstructed)} reconstructions for {len(raw)} patch sets")
     return average([mse(rec, ref) for rec, ref in zip(reconstructed, raw)])

@@ -130,11 +130,12 @@ def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsys, version):
+    """Versions up to 4 store `patch_ratio` in the config; the version is what the error names."""
     path = str(tmp_path / f"v{version}.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    rewrite_header(path, lambda h: h.update(format_version=version))
+    rewrite_header(path, lambda h: h.update(format_version=version, config=dict(h["config"], patch_ratio=2)))
     code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
     err = capsys.readouterr().err
     assert code == 1

@@ -28,8 +28,12 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_jsonl(path):
-    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+    return [json.loads(line, parse_constant=no_constant) for line in Path(path).read_text().splitlines()]
 
 
 TOY_MODEL = {
@@ -332,6 +336,18 @@ def test_ablate_unknown_flag(toy_run, capsys):
     assert code == 1 and "error[config]" in err
 
 
+@pytest.mark.parametrize(
+    "override, epochs", [("model.epochs=0", 0), ("dataset.split.ratios=[8,0,2]", 2)], ids=["no-epoch", "no-val-rows"]
+)
+def test_a_loss_that_is_not_finite_is_logged_as_null(toy_run, capsys, override, epochs):
+    path, out_dir = toy_run
+    code, _, err = run_cli(capsys, "train", str(path), "--set", override)
+    assert code == 0, err
+    *records, final = read_jsonl(out_dir / "train_log.jsonl")
+    assert [rec["val_loss"] for rec in records] == [None] * epochs
+    assert final["best_val_loss"] is None and final["test"]["normalized"]["mse"] >= 0.0
+
+
 def test_set_overrides_fields(toy_run, capsys):
     path, out_dir = toy_run
     code, _, err = run_cli(capsys, "train", str(path), "--set", "model.epochs=1", "--seed", "11")
@@ -398,6 +414,9 @@ def raw_file(path, blob):
         ("usage", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM, use_lwi=False),
                                "--data", write_history(tmp / "d.csv", 160),
                                "--export-weights", str(tmp / "w.csv")], "requires the learned-integration head"),
+        ("usage", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM, use_attention=False),
+                               "--data", write_history(tmp / "d.csv", 160),
+                               "--export-attention", str(tmp / "a.csv")], "requires a model with attention enabled"),
         ("checkpoint", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", None),
                                     "--data", write_history(tmp / "d.csv")],
          "carries no normalization statistics"),
@@ -432,16 +451,17 @@ def raw_file(path, blob):
         ("config", lambda tmp: ["train", raw_file(tmp / "run.json", b"\xff\xfe{}")], "is not UTF-8 text"),
     ],
     ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
-         "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one", "usage-rows-negative",
-         "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative", "usage-output-empty",
-         "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast", "data-not-utf8-eval",
-         "data-field-too-long", "config-not-utf8"],
+         "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
+         "usage-rows-negative", "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative",
+         "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
+         "data-not-utf8-eval", "data-field-too-long", "config-not-utf8"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
     assert status == 1
     assert err.startswith(f"error[{code}]:") and err.count("\n") == 1, err
     assert needle in err
+    assert out == ""
     assert "Traceback" not in out + err
 
 
@@ -485,10 +505,10 @@ def test_weights_that_overflow_print_one_stderr_line_when_run_as_a_program(tmp_p
         ("model.epochs=1.5", "model.epochs must be an integer, got 1.5"),
         ("model.period_lengths=[1]", "positive and the longest >= 2"),
         ("model.grad_clip=-1", "model.grad_clip must be >= 0, got -1"),
-        ("model.patch_ratio=5", "model.patch_ratio must be 2 under adaptive patching, got 5"),
+        ("model.patch_ratio=2", "unknown model config field(s): ['patch_ratio']"),
     ],
     ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one", "grad-clip-negative",
-         "patch-ratio-five"],
+         "patch-ratio-unknown"],
 )
 def test_mistyped_model_field_is_one_config_error_line(toy_run, capsys, override, needle):
     path, out_dir = toy_run

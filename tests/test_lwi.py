@@ -114,12 +114,6 @@ def test_integrate_is_linear_in_forecasts():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_integrate_validates_period_count():
-    f = [Tensor(np.zeros((1, 2)))]
-    with pytest.raises(ValueError, match="periods"):
-        integrate(f, Tensor(np.zeros((1, 3, 2))))
-
-
 def test_weighted_differs_from_plain_when_weights_nonconstant():
     rng = np.random.default_rng(6)
     f = [Tensor(rng.standard_normal((2, 3))) for _ in range(2)]

@@ -80,12 +80,10 @@ def test_config_defaults_match_contract():
         (dict(period_lengths=(8,), horizon=1, epochs=-1), "model.epochs must be >= 0, got -1"),
         (dict(period_lengths=(8,), horizon=1, learning_rate=-1e-3), "model.learning_rate must be >= 0, got -0.001"),
         (dict(period_lengths=(8,), horizon=1, n_patches=1, squeeze_factor=1), "model.n_patches must be >= 2, got 1"),
-        (dict(period_lengths=(8,), horizon=1, patch_ratio=0), "model.patch_ratio must be >= 1, got 0"),
+        (dict(period_lengths=(4, 7, 24), horizon=1, use_map=False), "period_lengths .4, 7. too short"),
         (dict(period_lengths=(8,), horizon=1, batch_size=0), "model.batch_size must be >= 1, got 0"),
-        (dict(period_lengths=(8, 16), horizon=1, n_patches=2, squeeze_factor=1, patch_ratio=5),
-         "model.patch_ratio must be 2 under adaptive patching, got 5"),
-        (dict(period_lengths=(8,), horizon=1, n_patches=4, squeeze_factor=1, patch_ratio=3),
-         "model.patch_ratio must be 2 under adaptive patching, got 3"),
+        (dict(period_lengths=(8,), horizon=1, n_heads=0), "positive multiple of n_heads .0."),
+        (dict(period_lengths=(8,), horizon=1, n_patches=4, squeeze_factor=8), "n_patches .4. must be divisible"),
         (dict(period_lengths=(0, 8), horizon=1), "model.period_lengths must be positive"),
     ],
 )
@@ -104,15 +102,14 @@ def test_config_round_trip_and_unknown_fields():
 
 
 def test_geometries_adaptive_vs_fixed():
-    geo = period_geometries(TOY)
-    assert [g.params.n_patches for g in geo] == [4, 4]
-    assert [g.n_squeezed for g in geo] == [2, 2]
-    fixed = period_geometries(
-        MlfConfig(period_lengths=(16, 32), horizon=1, n_patches=4, squeeze_factor=2, d_model=4,
-                  n_heads=2, n_blocks=1, conv_filters=2, use_map=False)
-    )
-    assert [g.params.n_patches for g in fixed] == [2, 4]
-    assert fixed[0].params.patch_len == 16 and fixed[0].params.stride == 8
+    assert [g.n_patches for g in period_geometries(TOY)] == [4, 4]
+    assert build_model(TOY).block_sizes == [2, 2]
+    cfg = MlfConfig(period_lengths=(16, 32), horizon=1, n_patches=4, squeeze_factor=2, d_model=4,
+                    n_heads=2, n_blocks=1, conv_filters=2, use_map=False)
+    fixed = period_geometries(cfg)
+    assert [g.n_patches for g in fixed] == [2, 4]
+    assert fixed[0].patch_len == 16 and fixed[0].stride == 8
+    assert build_model(cfg).block_sizes == [1, 2]
 
 
 # -- forward ---------------------------------------------------------------------
@@ -138,7 +135,7 @@ def test_forward_shapes_full_trace():
     assert bundle.attention_scores[0].shape == (4, 2, 48, 48)  # 6 periods x 8 tokens
     assert model.token_ranges[-1] == (40, 48)
     for s, geom in enumerate(model.geometries):
-        assert bundle.raw_patches[s].shape == (2, geom.params.patch_len, 64)
+        assert bundle.raw_patches[s].shape == (2, geom.patch_len, 64)
         assert bundle.reconstructions[s].shape == bundle.raw_patches[s].shape
 
 
@@ -320,7 +317,7 @@ def test_no_map_variant_runs_with_uneven_patch_counts():
         use_map=False,
     )
     model = build_model(cfg, seed=0)
-    counts = [g.params.n_patches for g in model.geometries]
+    counts = [g.n_patches for g in model.geometries]
     assert counts == [2, 4, 8]  # grows with window length
     windows = toy_windows(3, 6, cfg)
     bundle = model.forward(windows, training=True)

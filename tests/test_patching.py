@@ -4,7 +4,8 @@ embedding gradients."""
 import numpy as np
 import pytest
 
-from mlf.autograd import ShapeError, Tensor
+from mlf.autograd import Tensor
+from mlf.model import FIXED_PATCH_LEN, FIXED_PATCH_STRIDE, MlfConfig, period_geometries
 from mlf.patching import (
     derive_patch_params,
     embed,
@@ -64,11 +65,6 @@ def test_patchify_counts(n, length, stride):
     assert patches.shape == (3, length, 64)
 
 
-def test_patchify_rejects_too_short():
-    with pytest.raises(ShapeError):
-        patchify(np.zeros((1, 3)), 16, 8)
-
-
 @pytest.mark.parametrize("n", TWELVE_LENGTHS)
 def test_adaptive_patching_always_yields_64(n):
     p = derive_patch_params(n, 64)
@@ -87,10 +83,22 @@ def test_overlapping_patches_are_consistent():
 
 
 def test_fixed_patching_counts_grow_with_length():
-    counts = [fixed_patch_params(n).n_patches for n in [128, 256, 512, 768, 1024, 2048]]
+    counts = [fixed_patch_params(n, 16, 8).n_patches for n in [128, 256, 512, 768, 1024, 2048]]
     assert counts == sorted(counts)
     assert len(set(counts)) > 1
     assert counts[0] == (128 - 16) // 8 + 2
+
+
+def test_fixed_patching_cuts_the_whole_window():
+    # Lengths that are no multiple of the stride: a trimmed window would drop steps.
+    cfg = MlfConfig(period_lengths=(20, 28, 36), horizon=1, n_patches=8, use_map=False)
+    rng = np.random.default_rng(5)
+    for n, params in zip(cfg.period_lengths, period_geometries(cfg)):
+        windows = rng.standard_normal((2, n))
+        assert params.fitted_len == n
+        expected = patchify(windows, FIXED_PATCH_LEN, FIXED_PATCH_STRIDE)
+        assert np.array_equal(make_patches(windows, params), expected)
+        assert expected.shape == (2, FIXED_PATCH_LEN, params.n_patches)
 
 
 # -- embedding ------------------------------------------------------------------
@@ -119,11 +127,3 @@ def test_embed_gradient_matches_finite_differences():
     w_pos = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
     report = grad_check(lambda a, b: mean_all(embed(patches, a, b)), [w_proj, w_pos])
     assert report.passed, str(report)
-
-
-def test_embed_shape_errors():
-    patches = Tensor(np.zeros((1, 4, 6)))
-    with pytest.raises(ShapeError):
-        embed(patches, Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 6))))
-    with pytest.raises(ShapeError):
-        embed(patches, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 7))))

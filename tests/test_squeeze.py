@@ -72,12 +72,6 @@ def test_single_period_concat_is_identity():
     assert concat_periods([x]) is x
 
 
-def test_split_rejects_bad_sizes():
-    tokens = Tensor(np.zeros((1, 2, 10)))
-    with pytest.raises(ValueError, match="token count"):
-        split_periods(tokens, [4, 4])
-
-
 def test_decoder_output_matches_raw_patch_shape():
     rng = np.random.default_rng(4)
     for d_model, patch_len, n_patches, n_sq in [(8, 4, 16, 8), (6, 2, 8, 2)]:
@@ -95,8 +89,6 @@ def test_reconstruction_loss_examples():
     p2 = Tensor(np.array([[[2.0, 2.0]]]))
     loss = reconstruction_loss([p1, p2], [zero, zero])
     assert float(loss.data) == pytest.approx(3.0)
-    with pytest.raises(ValueError, match="reconstructions"):
-        reconstruction_loss([a], [a, a])
 
 
 def test_squeeze_gradients_match_finite_differences():
