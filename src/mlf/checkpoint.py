@@ -76,7 +76,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        header_len = int.from_bytes(fh.read(8), "little")
+        header_len, size = int.from_bytes(fh.read(8), "little"), os.fstat(fh.fileno()).st_size
+        if header_len > size - fh.tell():
+            raise CheckpointError(f"{path}: a {header_len}-byte header runs past the end (truncated or corrupt file)")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -85,7 +87,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: corrupt header: not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
-        payload = np.empty(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0), np.uint8)  # no zero fill
+        payload = np.empty(size - fh.tell(), np.uint8)  # no zero fill
         payload = payload[: fh.readinto(payload)]  # the file may have shrunk since fstat
     check_fields(path, header)
     shapes = {}

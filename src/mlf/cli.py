@@ -36,7 +36,7 @@ from .data import (
     standardize,
 )
 from .metrics import MetricError
-from .model import ConfigError, MlfConfig, MlfModel, build_model, has_type
+from .model import ConfigError, MlfConfig, MlfModel, build_model, check_section, has_type
 from .training import DivergenceError, evaluate, train
 
 OUTPUT_DIR_ENV = "MLF_OUTPUT_DIR"
@@ -52,7 +52,40 @@ class UsageError(Exception):
 
 # -- config handling -----------------------------------------------------------
 
-RUN_CONFIG_KEYS = ("model", "dataset", "seed", "output_dir")
+
+def int_at_least(least: int) -> tuple:
+    """The (test, what a valid value is) pair of an integer >= `least`."""
+    return (lambda v: has_type(v, "int") and v >= least, f"an integer >= {least}")
+
+
+# A `dataset` section's table for `check_section`. Every field that a reader
+# of the section uses is here, so `read_dataset` and `synth.generate` take
+# their `format` and `kind` as given.
+DATASET_FIELDS = {
+    "path": ((lambda v: isinstance(v, str), "a string"),),
+    "format": ((lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),),
+    "anchor_stride": (int_at_least(1),),
+    "synthetic": {
+        "kind": ((lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),),
+        "n_steps": (int_at_least(1),),
+        "n_channels": (int_at_least(1),),
+        "seed": (int_at_least(0),),
+    },
+    "split": {
+        "scheme": ((lambda v: v in ("ratio", "ett"), "'ratio' or 'ett'"),),
+        "ratios": ((lambda v: isinstance(v, list) and len(v) == 3 and all(has_type(n, "int") and n >= 0 for n in v)
+                    and sum(v) > 0, "a list of 3 integers >= 0 with a positive sum"),),
+        "rows_per_month": (int_at_least(1),),
+    },
+}
+
+# The run config's table; `MlfConfig.from_dict` checks the model section.
+RUN_FIELDS = {
+    "model": (),
+    "dataset": DATASET_FIELDS,
+    "seed": (int_at_least(0),),
+    "output_dir": ((lambda v: isinstance(v, str) and v != "", "a non-empty string"),),
+}
 
 
 def load_run_config(path: str, overrides: list[str], seed: int | None, output: str | None) -> dict:
@@ -69,19 +102,15 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
         raise ConfigError(f"config {path} must be a JSON object")
     for item in overrides:
         apply_override(raw, item)
-    unknown = sorted(set(raw) - set(RUN_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"config {path} has unknown top-level key(s): {unknown}")
     raw.setdefault("seed", 0)
     raw.setdefault("output_dir", "runs/latest")
-    flags = {"seed": seed, "output_dir": output}
-    for key, (flag, valid, what) in RUN_FIELDS.items():
-        if not valid(raw[key]):
-            raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
-        if flags[key] is not None:
-            if not valid(flags[key]):
-                raise UsageError(f"{flag} must be {what}, got {flags[key]!r}")
-            raw[key] = flags[key]
+    check_section(raw, RUN_FIELDS, "")
+    for key, flag, value in (("seed", "--seed", seed), ("output_dir", "--output", output)):
+        if value is not None:
+            for valid, what in RUN_FIELDS[key]:
+                if not valid(value):
+                    raise UsageError(f"{flag} must be {what}, got {value!r}")
+            raw[key] = value
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         raw["output_dir"] = env_dir
@@ -107,76 +136,16 @@ def apply_override(config: dict, item: str) -> None:
 
 def read_dataset(path: str, fmt: str) -> SeriesDataset:
     """The one reader of data files: `fmt` is 'generic' or 'fund', as
-    `check_dataset` and the `--format` choices make it."""
+    `DATASET_FIELDS` and the `--format` choices make it."""
     return load_fund_csv(path) if fmt == "fund" else load_csv(path)
 
 
-def int_at_least(least: int):
-    return lambda v: has_type(v, "int") and v >= least
-
-
-# Top-level run-config field -> (the flag that overrides it, test of a valid
-# value, what a valid value is). `load_run_config` checks both sources.
-RUN_FIELDS = {
-    "seed": ("--seed", int_at_least(0), "an integer >= 0"),
-    "output_dir": ("--output", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-}
-
-
-# Field of a run config's `dataset` section -> (test of a valid value, what a
-# valid value is). `check_dataset` applies each to the fields present.
-DATASET_FIELDS = {
-    "path": (lambda v: isinstance(v, str), "a string"),
-    "format": (lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),
-    "anchor_stride": (int_at_least(1), "an integer >= 1"),
-    "synthetic.kind": (lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),
-    "synthetic.n_steps": (int_at_least(1), "an integer >= 1"),
-    "synthetic.n_channels": (int_at_least(1), "an integer >= 1"),
-    "synthetic.seed": (int_at_least(0), "an integer >= 0"),
-    "split.scheme": (lambda v: v in ("ratio", "ett"), "'ratio' or 'ett'"),
-    "split.ratios": (
-        lambda v: isinstance(v, list) and len(v) == 3 and all(map(int_at_least(0), v)) and sum(v) > 0,
-        "a list of 3 integers >= 0 with a positive sum",
-    ),
-    "split.rows_per_month": (int_at_least(1), "an integer >= 1"),
-}
-
-
-# The keys of a `dataset` section ("") and of its two subsections.
-DATASET_KEYS = {
-    "": ("path", "format", "anchor_stride", "synthetic", "split"),
-    "synthetic": ("kind", "n_steps", "n_channels", "seed"),
-    "split": ("scheme", "ratios", "rows_per_month"),
-}
-
-
-def check_dataset(section: dict) -> None:
-    """The one check of a `dataset` section, from a run config or a
-    checkpoint's run record: an unknown key, or a field of the wrong type or
-    range, is a `ConfigError` that names it. Every field that a reader of the
-    section uses is in `DATASET_FIELDS`, so `read_dataset` and
-    `synth.generate` take their `format` and `kind` as given."""
-    for key in ("synthetic", "split"):
-        if not isinstance(section.get(key, {}), dict):
-            raise ConfigError(f"dataset.{key} must be an object, got {section[key]!r}")
-    for parent, known in DATASET_KEYS.items():
-        node = section.get(parent, {}) if parent else section
-        unknown = sorted(set(node) - set(known))
-        if unknown:
-            where = f"dataset.{parent}" if parent else "dataset"
-            raise ConfigError(f"{where} has unknown key(s): {unknown}")
-    for field, (valid, what) in DATASET_FIELDS.items():
-        parent, _, key = field.rpartition(".")
-        node = section.get(parent, {}) if parent else section
-        if key in node and not valid(node[key]):
-            raise ConfigError(f"dataset.{field} must be {what}, got {node[key]!r}")
-
-
 def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
-    section = raw.get("dataset")
-    if not isinstance(section, dict):
+    """The dataset of a run config that `load_run_config` checked, and its
+    `dataset` section."""
+    if "dataset" not in raw:
         raise ConfigError("missing required config section: dataset")
-    check_dataset(section)
+    section = raw["dataset"]
     if "synthetic" in section:
         spec = section["synthetic"]
         ds = synth.generate(
@@ -323,7 +292,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     section = ckpt.meta.get("run", {}).get("dataset", {})
     try:
-        check_dataset(section)
+        check_section(section, DATASET_FIELDS, "dataset.")
     except ConfigError as exc:
         raise CheckpointError(f"{args.checkpoint}: corrupt header: meta.run.{exc}") from None
     model = restore_model(ckpt)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from operator import le
 
 import numpy as np
 
@@ -85,10 +87,8 @@ class MlfConfig:
     def from_dict(cls, raw: dict) -> "MlfConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"model config must be a JSON object, got {raw!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown model config field(s): {unknown}")
+        if not raw.keys() <= MODEL_FIELDS.keys():  # reports the unknown keys; the constructor checks the rest
+            check_section(raw, MODEL_FIELDS, "model.")
         for name in ("period_lengths", "horizon"):
             if name not in raw:
                 raise ConfigError(f"missing required config field: model.{name}")
@@ -117,11 +117,41 @@ LEAST_VALUES = {"horizon": 1, "n_patches": 2, "n_blocks": 1, "batch_size": 1, "e
                 "learning_rate": 0, "conv_filters": 1, "d_ff": 0, "grad_clip": 0, "max_steps": 0}
 
 
+def check_section(node: dict, table: dict, prefix: str) -> None:
+    """The one check of a config section. `table` maps each known key to a
+    tuple of (test, what a valid value is) pairs, tried in order, or to the
+    table of an object's own keys. An unknown key, or a value that fails a
+    test, is a `ConfigError` that names its dotted path: `prefix` is the
+    section's path and a dot ("" for the top level of a run config). An
+    absent key is not checked."""
+    if not node.keys() <= table.keys():
+        raise ConfigError(f"{prefix[:-1] or 'config'} has unknown key(s): {sorted(node.keys() - table.keys())}")
+    for key, value in node.items():
+        rule = table[key]
+        if not isinstance(rule, dict):
+            for valid, what in rule:
+                if not valid(value):
+                    raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+        elif isinstance(value, dict):
+            check_section(value, rule, f"{prefix}{key}.")
+        else:
+            raise ConfigError(f"{prefix}{key} must be an object, got {value!r}")
+
+
+# Each MlfConfig field -> the pair of its type, then the pair of its least
+# value if it has one (`le(least, v)` is `v >= least`); built once.
+MODEL_FIELDS = {
+    f.name: ((lambda v, t=f.type: has_type(v, t), TYPE_NAMES[f.type]),)
+    + (((partial(le, LEAST_VALUES[f.name]), f">= {LEAST_VALUES[f.name]}"),) if f.name in LEAST_VALUES else ())
+    for f in fields(MlfConfig)
+}
+MODEL_FIELDS["squeeze_factor"] += ((lambda v: v in (1, 2, 4, 8), "one of 1/2/4/8"),)
+
+
 def validate_config(cfg: MlfConfig) -> None:
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if not has_type(value, f.type):
-            raise ConfigError(f"model.{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
+    """Each field on its own (`MODEL_FIELDS`), then the rules that compare
+    one field, or one period, with another."""
+    check_section(vars(cfg), MODEL_FIELDS, "model.")
     periods = cfg.period_lengths
     if not periods:
         raise ConfigError("model.period_lengths must not be empty")
@@ -129,11 +159,6 @@ def validate_config(cfg: MlfConfig) -> None:
         raise ConfigError(f"model.period_lengths must be strictly increasing, got {list(periods)}")
     if periods[0] < 1 or periods[-1] < 2:  # the integration weights convolve the longest window
         raise ConfigError(f"model.period_lengths must be positive and the longest >= 2, got {list(periods)}")
-    for name, least in LEAST_VALUES.items():
-        if getattr(cfg, name) < least:
-            raise ConfigError(f"model.{name} must be >= {least}, got {getattr(cfg, name)}")
-    if cfg.squeeze_factor not in (1, 2, 4, 8):
-        raise ConfigError(f"model.squeeze_factor must be one of 1/2/4/8, got {cfg.squeeze_factor}")
     if cfg.n_patches % cfg.squeeze_factor != 0:
         raise ConfigError(
             f"model.n_patches ({cfg.n_patches}) must be divisible by squeeze_factor ({cfg.squeeze_factor})"

@@ -97,13 +97,12 @@ def train(
     best_epoch = -1
     best_state = model.state_arrays()
     step = 0
-    max_steps = cfg.max_steps or 0
 
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         order = shuffle_rng.permutation(n_samples)
-        if max_steps:  # the epoch stops at the step cap
-            order = order[: (max_steps - step) * cfg.batch_size]
+        if cfg.max_steps:  # the epoch stops at the step cap
+            order = order[: (cfg.max_steps - step) * cfg.batch_size]
         epoch_loss = 0.0
         for _, windows, targets in batches(ds, cfg, channels[order], anchors[order]):
             # One step's graph and gradients at a time: the last step's are
@@ -137,7 +136,7 @@ def train(
             best_val = val_loss
             best_epoch = epoch
             best_state = model.state_arrays()
-        if max_steps and step >= max_steps:
+        if cfg.max_steps and step >= cfg.max_steps:
             break
 
     model.load_state_arrays(best_state)

@@ -409,7 +409,8 @@ def raw_file(path, blob):
         ("config", lambda tmp: ["train", config_file(tmp, "[1, 2]")], "must be a JSON object"),
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": 3})), "--set", "model.horizon=2"],
          "crosses a non-object value"),
-        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "foo=1"], "unknown top-level key(s): ['foo']"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "foo=1"],
+         "config has unknown key(s): ['foo']"),
         ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "model.horizon"], "expects dotted.key=value"),
         ("usage", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM, use_lwi=False),
                                "--data", write_history(tmp / "d.csv", 160),
@@ -449,12 +450,19 @@ def raw_file(path, blob):
                               "--data", write_history(tmp / "d.csv", cell="1" * 131073)],
          "field larger than field limit"),
         ("config", lambda tmp: ["train", raw_file(tmp / "run.json", b"\xff\xfe{}")], "is not UTF-8 text"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "dataset=3"],
+         "dataset must be an object, got 3"),
+        ("config", lambda tmp: ["train", config_file(tmp, "{}"), "--set", "dataset=null"],
+         "dataset must be an object, got None"),
+        ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": TOY_MODEL}))],
+         "missing required config section: dataset"),
     ],
     ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
          "usage-rows-negative", "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative",
          "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
-         "data-not-utf8-eval", "data-field-too-long", "config-not-utf8"],
+         "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
+         "config-dataset-null", "config-dataset-missing"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -463,6 +471,27 @@ def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, n
     assert needle in err
     assert out == ""
     assert "Traceback" not in out + err
+
+
+def test_damaged_checkpoints_through_forecast_print_one_error_line_or_a_finite_forecast(tmp_path, capsys):
+    """Each byte of the header length (bytes 8-15) set to 0xff, '"', '9' or '-',
+    and 50 truncations of the toy checkpoint: exit 1 with one error line and
+    nothing written, or exit 0 with a finite forecast. A header length past the
+    end of the file fails before anything is read, not with a MemoryError."""
+    blob = Path(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM)).read_bytes()
+    data, out = write_history(tmp_path / "d.csv", 160), tmp_path / "f.csv"
+    length_edits = [blob[:i] + bytes([b]) + blob[i + 1 :] for i in range(8, 16) for b in b'\xff"9-']
+    cuts = [blob[:n] for n in np.linspace(0, len(blob) - 1, 50).astype(int)]
+    for k, damaged in enumerate(length_edits + cuts):
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_cli(capsys, "forecast", raw_file(tmp_path / "c.ckpt", damaged),
+                                    "--data", data, "--output", str(out))
+        if code == 0:
+            assert np.isfinite(np.array(read_rows(out)[1:], dtype=float)).all(), k
+            continue
+        assert code == 1 and err.startswith("error[") and err.count("\n") == 1, (k, err)
+        assert stdout == "" and not out.exists(), k
+        assert k >= len(length_edits) or err.startswith("error[checkpoint]:"), (k, err)
 
 
 @pytest.mark.parametrize("command", ["eval", "forecast"])
@@ -505,7 +534,7 @@ def test_weights_that_overflow_print_one_stderr_line_when_run_as_a_program(tmp_p
         ("model.epochs=1.5", "model.epochs must be an integer, got 1.5"),
         ("model.period_lengths=[1]", "positive and the longest >= 2"),
         ("model.grad_clip=-1", "model.grad_clip must be >= 0, got -1"),
-        ("model.patch_ratio=2", "unknown model config field(s): ['patch_ratio']"),
+        ("model.patch_ratio=2", "model has unknown key(s): ['patch_ratio']"),
     ],
     ids=["period-lengths-int", "horizon-text", "epochs-float", "period-lengths-one", "grad-clip-negative",
          "patch-ratio-unknown"],

@@ -95,7 +95,7 @@ def test_config_validation(kwargs, match):
 def test_config_round_trip_and_unknown_fields():
     d = TOY.to_dict()
     assert MlfConfig.from_dict(d) == TOY
-    with pytest.raises(ConfigError, match="unknown model config field"):
+    with pytest.raises(ConfigError, match=r"^model has unknown key\(s\): \['banana'\]$"):
         MlfConfig.from_dict(dict(d, banana=1))
     with pytest.raises(ConfigError, match="period_lengths"):
         MlfConfig.from_dict({"horizon": 2})
