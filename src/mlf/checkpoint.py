@@ -33,7 +33,9 @@ MAGIC = b"MLFCKPT1"
 # in header order, so no stored offset can disagree with the bytes.
 # Version 5: the config no longer stores a patch length to stride ratio
 # (L = 2K is the one rule); the tensors are unchanged.
-FORMAT_VERSION = 5
+# Version 6: an ablated model holds only the stages its forward reads, so a
+# version 5 file of one holds tensors that its config no longer builds.
+FORMAT_VERSION = 6
 
 
 class CheckpointError(ValueError):

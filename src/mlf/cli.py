@@ -146,6 +146,8 @@ def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
     if "dataset" not in raw:
         raise ConfigError("missing required config section: dataset")
     section = raw["dataset"]
+    if "path" in section and "synthetic" in section:
+        raise ConfigError("dataset section takes 'path' or 'synthetic', not both")
     if "synthetic" in section:
         spec = section["synthetic"]
         ds = synth.generate(
@@ -265,13 +267,9 @@ def restore_model(ckpt: Checkpoint) -> MlfModel:
     model to train."""
     cfg = MlfConfig.from_dict(ckpt.config)
     try:
-        model = MlfModel(cfg, state=ckpt.arrays)
-        extra = set(ckpt.arrays) - set(model.params) - set(model.buffers)
-        if extra:
-            raise ShapeError(f"state mismatch: unexpected {sorted(extra)}")
+        return MlfModel(cfg, state=ckpt.arrays)
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from None
-    return model
 
 
 def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:

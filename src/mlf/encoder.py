@@ -15,6 +15,8 @@ encoder block, so stacking blocks filters the overlap progressively.
 Only estimates that a later block reads get a redundancy branch: the heads of
 every block but the last, for every period but the longest. The longest
 period has no longer period to filter, and nothing follows the last block.
+Without IRF no head keeps a branch. Without attention the model builds no
+`EncoderBlock`: the heads read the squeezed tokens, with no norm or feed-forward.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class SppHead:
 
     Both branches are linear maps over the flattened (D * N_block) period
     block; the redundancy output is reshaped back to block shape so it can
-    be subtracted from longer periods. A head built without the redundancy
+    be subtracted from longer periods. `redundancy` is the store the branch
+    draws into, or None. The head keeps the branch only when that store is
+    its own; drawn into another, it only spends its draws. A head without a
     branch returns None in its place.
     """
 
@@ -88,13 +92,14 @@ class SppHead:
         d_model: int,
         block_tokens: int,
         horizon: int,
-        redundancy: bool = True,
+        redundancy: ParamStore | None = None,
     ):
         self.d_model = d_model
         self.block_tokens = block_tokens
         flat = d_model * block_tokens
         self.forecast = Linear(store, f"{name}.forecast", flat, horizon)
-        self.redundancy = Linear(store, f"{name}.redundancy", flat, flat) if redundancy else None
+        branch = None if redundancy is None else Linear(redundancy, f"{name}.redundancy", flat, flat)
+        self.redundancy = branch if redundancy is store else None
 
     def __call__(self, block: Tensor) -> tuple[Tensor, Tensor | None]:
         batch = block.shape[0]

@@ -188,9 +188,9 @@ class ForecastBundle:
 
     forecast: Tensor  # (B, m) integrated prediction
     period_forecasts: list[Tensor]  # S x (B, m), block-averaged
-    att: Tensor | None  # (B, S, m) integration weights
-    reconstructions: list[Tensor]  # S x (B, L_s, N_s)
-    raw_patches: list[Tensor]  # S x (B, L_s, N_s) constants
+    att: Tensor | None  # (B, S, m) integration weights; None without LWI
+    reconstructions: list[Tensor]  # S x (B, L_s, N_s); empty without the reconstruction loss
+    raw_patches: list[Tensor]  # S x (B, L_s, N_s) constants; empty as reconstructions is
     attention_scores: list[np.ndarray] | None = None  # E x (H, B, N, N)
 
 
@@ -214,15 +214,18 @@ def seed_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 class MlfModel:
     """All trainable state plus the forward pass.
 
-    Parameters for every stage are created regardless of ablation flags
-    (flags only reroute the forward pass), so variants with equal shapes
-    start from identical weights under the same seed. SPP heads carry a
-    redundancy branch only where the base forward pass reads it: in blocks
-    before the last, for periods shorter than the longest, whose estimates
-    filter the next block's input. Each block's attention is four tensors:
-    per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
-    Given `state` in place of `rng`, the model takes every array from it and
-    draws nothing (see `ParamStore`).
+    The model builds exactly the stages its config's forward reads, so every
+    parameter gets a gradient. A stage that a flag switches off (the squeeze
+    decoders, the encoder blocks, the integrator, the SPP redundancy
+    branches) draws into a spare store on the same init stream, which the
+    model drops; so each kept tensor starts bit-equal to base's. Given
+    `state` in place of `rng`, the model takes every array from it, draws
+    nothing and builds no switched-off stage; a state that is not exactly
+    the config's tensors raises `ShapeError` (see `ParamStore`). SPP heads
+    carry a redundancy branch only where the base forward pass reads it: in
+    blocks before the last, for periods shorter than the longest, whose
+    estimates filter the next block's input. Each block's attention is four
+    tensors: per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
 
     Period s has `block_sizes[s]` = max(1, ceil(n_patches / squeeze_factor))
     tokens after the squeeze. Under adaptive patching every period has
@@ -232,11 +235,17 @@ class MlfModel:
     """
 
     def __init__(self, config: MlfConfig, rng: np.random.Generator | None = None, *, state: dict | None = None):
-        self.config = config
+        self.config = cfg = config
         self.geometries = period_geometries(config)
-        store = ParamStore(rng, state)
-        self.store = store
-        cfg = config
+        self.store = store = ParamStore(rng, state)
+        spare = None if state is not None else ParamStore(rng)
+
+        def stage(on: bool, make):
+            """`make(store)` if the forward reads the stage; else None, once its draws are spent on `spare`."""
+            if not on and spare is not None:
+                make(spare)
+            return make(store) if on else None
+
         self.block_sizes = [max(1, -(-p.n_patches // cfg.squeeze_factor)) for p in self.geometries]
         self.token_ranges = [(sum(self.block_sizes[:s]), sum(self.block_sizes[: s + 1])) for s in range(cfg.n_periods)]
 
@@ -259,15 +268,14 @@ class MlfModel:
                 PatchEncoder(store, f"squeeze.enc.p{s}", g.n_patches, self.block_sizes[s])
                 for s, g in enumerate(self.geometries)
             ]
-        self.decoders = [
-            PeriodDecoder(store, f"squeeze.dec.p{s}", cfg.d_model, g.patch_len, g.n_patches, self.block_sizes[s])
+        self.decoders = stage(cfg.use_reconstruction_loss, lambda st: [
+            PeriodDecoder(st, f"squeeze.dec.p{s}", cfg.d_model, g.patch_len, g.n_patches, self.block_sizes[s])
             for s, g in enumerate(self.geometries)
-        ]
-
-        self.blocks = [
-            EncoderBlock(store, f"block{e}", cfg.d_model, cfg.n_heads, cfg.ff_width)
-            for e in range(cfg.n_blocks)
-        ]
+        ])
+        self.blocks = stage(cfg.use_attention, lambda st: [
+            EncoderBlock(st, f"block{e}", cfg.d_model, cfg.n_heads, cfg.ff_width) for e in range(cfg.n_blocks)
+        ])
+        redundancy = store if cfg.use_irf else spare
         self.spp_heads = [
             [
                 SppHead(
@@ -276,21 +284,17 @@ class MlfModel:
                     cfg.d_model,
                     self.block_sizes[s],
                     cfg.horizon,
-                    redundancy=e < cfg.n_blocks - 1 and s < cfg.n_periods - 1,
+                    redundancy=redundancy if e < cfg.n_blocks - 1 and s < cfg.n_periods - 1 else None,
                 )
                 for s in range(cfg.n_periods)
             ]
             for e in range(cfg.n_blocks)
         ]
-
-        self.integrator = WeightIntegrator(
-            store,
-            "lwi",
-            cfg.n_periods,
-            cfg.horizon,
-            cfg.period_lengths[-1],
-            cfg.conv_filters,
-        )
+        self.integrator = stage(cfg.use_lwi, lambda st: WeightIntegrator(
+            st, "lwi", cfg.n_periods, cfg.horizon, cfg.period_lengths[-1], cfg.conv_filters
+        ))
+        if state is not None and (extra := state.keys() - self.params.keys() - self.buffers.keys()):
+            raise ShapeError(f"state mismatch: unexpected {sorted(extra)}")
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -313,16 +317,12 @@ class MlfModel:
         return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        expected = set(self.params) | set(self.buffers)
-        missing = expected - set(state)
-        extra = set(state) - expected
-        if missing or extra:
-            raise ShapeError(f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        targets = {name: p.data for name, p in self.params.items()} | self.buffers
-        for name, target in targets.items():
-            if target.shape != np.shape(state[name]):
-                raise ShapeError(f"parameter {name}: shape {np.shape(state[name])} != {target.shape}")
-            target[...] = state[name]
+        """Copy `state` into the model's arrays, once it is checked as a restore checks it."""
+        loaded = MlfModel(self.config, state=state)
+        for name, p in self.params.items():
+            p.data[...] = loaded.params[name].data
+        for name, b in self.buffers.items():
+            b[...] = loaded.buffers[name]
 
     # -- forward --------------------------------------------------------------
 
@@ -349,31 +349,26 @@ class MlfModel:
             reconstructions: list[Tensor] = []
             for s, geom in enumerate(self.geometries):
                 patches = Tensor(make_patches(windows[s], geom))
-                raw_patches.append(patches)
                 embedded = embed(patches, self.w_proj[s], self.w_pos[s])  # (B, D, N_s)
                 compact = self.patch_encoders[s](embedded)  # (B, D, N_s/r)
                 squeezed.append(compact)
-                reconstructions.append(self.decoders[s](compact))
+                if self.decoders:  # only the reconstruction loss reads them
+                    raw_patches.append(patches)
+                    reconstructions.append(self.decoders[s](compact))
             del patches, embedded, compact  # the lists hold what later stages read
 
             tokens = concat_periods(squeezed)  # (B, D, N_tok)
             block_forecasts: list[list[Tensor]] = []
             attention_scores: list[np.ndarray] | None = [] if collect_diagnostics else None
 
-            for e, block in enumerate(self.blocks):
-                if cfg.use_attention:
-                    z, scores = block(tokens, training=training, collect_scores=collect_diagnostics)
+            for e, heads in enumerate(self.spp_heads):
+                z = tokens
+                if self.blocks:
+                    z, scores = self.blocks[e](tokens, training=training, collect_scores=collect_diagnostics)
                     if collect_diagnostics:
                         attention_scores.append(scores)
-                else:
-                    z = tokens
                 period_blocks = split_periods(z, self.block_sizes)
-                forecasts = []
-                epsilons = []
-                for s, head in enumerate(self.spp_heads[e]):
-                    f, eps = head(period_blocks[s])
-                    forecasts.append(f)
-                    epsilons.append(eps)
+                forecasts, epsilons = zip(*(head(period_blocks[s]) for s, head in enumerate(heads)))
                 block_forecasts.append(forecasts)
                 if e == cfg.n_blocks - 1:
                     break  # no later block reads the filtered tokens
@@ -381,9 +376,8 @@ class MlfModel:
 
             period_forecasts = [average(per_block) for per_block in zip(*block_forecasts)]  # mean over blocks
             att = None
-            if cfg.use_lwi:
-                longest = Tensor(windows[-1])
-                att = self.integrator(longest, training=training)
+            if self.integrator is not None:
+                att = self.integrator(Tensor(windows[-1]), training=training)  # from the longest window
                 forecast = integrate(period_forecasts, att)
             else:
                 forecast = integrate_plain(period_forecasts)
@@ -404,9 +398,10 @@ def build_model(config: MlfConfig, seed: int = 0) -> MlfModel:
 
 
 def mlf_loss(bundle: ForecastBundle, target: np.ndarray, *, use_reconstruction: bool = True) -> LossBreakdown:
-    """Forecast MSE plus (optionally) the mean per-period reconstruction MSE."""
+    """Forecast MSE plus (optionally) the mean per-period reconstruction MSE,
+    which a bundle without reconstructions (the ablation's) leaves out."""
     forecast_term = mse(bundle.forecast, Tensor(target))
-    if use_reconstruction:
+    if use_reconstruction and bundle.reconstructions:
         recon_term = reconstruction_loss(bundle.reconstructions, bundle.raw_patches)
         total = forecast_term + recon_term
         return LossBreakdown(total, float(forecast_term.data), float(recon_term.data))

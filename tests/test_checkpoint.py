@@ -130,12 +130,15 @@ def test_tensor_entry_outside_the_data_fails_with_one_checkpoint_error_line(tmp_
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_format_version_fails_with_one_checkpoint_error_line(tmp_path, capsys, version):
-    """Versions up to 4 store `patch_ratio` in the config; the version is what the error names."""
+    """Versions up to 4 store `patch_ratio` in the config, and version 5 the
+    tensors of an ablated model's switched-off stages; the version is what
+    the error names."""
     path = str(tmp_path / f"v{version}.ckpt")
     save_checkpoint(path, sample_checkpoint())
-    rewrite_header(path, lambda h: h.update(format_version=version, config=dict(h["config"], patch_ratio=2)))
+    old_fields = {"patch_ratio": 2} if version < 5 else {}
+    rewrite_header(path, lambda h: h.update(format_version=version, config=dict(h["config"], **old_fields)))
     code = cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")])
     err = capsys.readouterr().err
     assert code == 1
@@ -200,6 +203,26 @@ def test_restore_draws_nothing_and_forecasts_as_a_loaded_build(tiny_config, tmp_
     a = built.forward(windows, training=False).forecast.data
     b = restored.forward(windows, training=False).forecast.data
     assert np.array_equal(a, b)
+
+
+def test_an_ablated_checkpoint_holds_and_restores_only_the_stages_its_forward_reads(tiny_config, tmp_path, capsys):
+    """Restored, a switched-off stage is not built; the tensors that a model
+    builds whatever its flags (as format 5 saved them) do not fit the config."""
+    rng = np.random.default_rng(0)
+    windows = [rng.standard_normal((3, n)) for n in tiny_config.period_lengths]
+    everything = build_model(tiny_config, seed=4).state_arrays()
+    for flag in ("irf", "lwi", "ma", "reconstruction_loss"):
+        cfg = mmodel.apply_ablation(tiny_config, flag)
+        path = str(tmp_path / f"{flag}.ckpt")
+        save_checkpoint(path, model_checkpoint(cfg))
+        restored = cli.restore_model(load_checkpoint(path))
+        built = build_model(cfg, seed=4)
+        assert restored.state_arrays().keys() == built.state_arrays().keys() < everything.keys(), flag
+        a, b = (m.forward(windows, training=False).forecast.data for m in (built, restored))
+        assert np.array_equal(a, b), flag
+        save_checkpoint(path, Checkpoint(cfg.to_dict(), everything, {"channels": ["a"], "mean": [0.0], "std": [1.0]}))
+        assert cli.main(["forecast", path, "--data", str(tmp_path / "unused.csv")]) == 1
+        assert "state mismatch: unexpected [" in capsys.readouterr().err, flag
 
 
 def test_loaded_arrays_are_aligned_writable_views_that_train_like_copies(tiny_config, tmp_path):

@@ -456,13 +456,16 @@ def raw_file(path, blob):
          "dataset must be an object, got None"),
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": TOY_MODEL}))],
          "missing required config section: dataset"),
+        ("config", lambda tmp: ["train", config_file(tmp, json.dumps(
+            {"model": TOY_MODEL, "dataset": {"path": str(tmp / "absent.csv"), "synthetic": {}}}))],
+         "dataset section takes 'path' or 'synthetic', not both"),
     ],
-    ids=["io", "config-json", "config-object", "config-top-level-key", "config-set-path", "usage-set", "usage-export",
+    ids=["io", "config-json", "config-object", "config-set-path", "config-top-level-key", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
          "usage-rows-negative", "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative",
          "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
          "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
-         "config-dataset-null", "config-dataset-missing"],
+         "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -492,6 +495,45 @@ def test_damaged_checkpoints_through_forecast_print_one_error_line_or_a_finite_f
         assert code == 1 and err.startswith("error[") and err.count("\n") == 1, (k, err)
         assert stdout == "" and not out.exists(), k
         assert k >= len(length_edits) or err.startswith("error[checkpoint]:"), (k, err)
+
+
+def test_seeded_header_and_csv_edits_print_one_error_line_or_a_finite_result(tmp_path, capsys):
+    """A seeded corpus of single-byte edits, each byte drawn from JSON and CSV
+    syntax, digits and 0xff: 200 of the toy checkpoint's JSON header and 200
+    of the data CSV through `forecast`, and the first 50 of those CSV edits
+    through `eval`. Each ends in exit 1 with one `error[<code>]` line and
+    nothing on stdout or in the output file, or in exit 0 with a finite
+    forecast (for `eval`, its JSON report)."""
+    data = write_history(tmp_path / "d.csv", 160)
+    ckpt = load_checkpoint(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM))
+    ckpt.meta = {"run": {"seed": 0, "dataset": {}}, "data": cli.data_record(cli.read_dataset(data, "generic"))}
+    save_checkpoint(str(tmp_path / "m.ckpt"), ckpt)
+    blob, csv_blob = (tmp_path / "m.ckpt").read_bytes(), Path(data).read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    rng, pool = np.random.default_rng(2024), b'0123456789-+.eE"[]{},:\n aZ\xff'
+
+    def edit(original, lo, hi):
+        at, byte = int(rng.integers(lo, hi)), pool[int(rng.integers(len(pool)))]
+        return original[:at] + bytes([byte]) + original[at + 1 :]
+
+    headers = [edit(blob, 16, header_end) for _ in range(200)]
+    csvs = [edit(csv_blob, 0, len(csv_blob)) for _ in range(200)]
+    cases = [("forecast", h, csv_blob) for h in headers] + [("forecast", blob, c) for c in csvs]
+    cases += [("eval", blob, c) for c in csvs[:50]]
+    codes, out = set(), tmp_path / "f.csv"
+    for k, (command, ckpt_bytes, csv_bytes) in enumerate(cases):
+        out.unlink(missing_ok=True)
+        argv = [command, raw_file(tmp_path / "c.ckpt", ckpt_bytes), "--data", raw_file(tmp_path / "e.csv", csv_bytes)]
+        code, stdout, err = run_cli(capsys, *argv, *(["--output", str(out)] if command == "forecast" else []))
+        codes.add(code)
+        if code == 0 and command == "forecast":
+            assert np.isfinite(np.array(read_rows(out)[1:], dtype=float)).all(), k
+        elif code == 0:
+            assert isinstance(json.loads(stdout), dict) and err == "", k
+        else:
+            assert code == 1 and err.startswith("error[") and err.count("\n") == 1, (k, err)
+            assert stdout == "" and not out.exists(), k
+    assert codes == {0, 1}
 
 
 @pytest.mark.parametrize("command", ["eval", "forecast"])

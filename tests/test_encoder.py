@@ -129,20 +129,39 @@ def test_batched_block_matches_per_head_reference():
 
 
 def test_spp_output_shapes():
-    head = SppHead(store(), "h", 4, 3, 5)
+    st = store()
+    head = SppHead(st, "h", 4, 3, 5, redundancy=st)
     f, eps = head(Tensor(np.random.default_rng(4).standard_normal((2, 4, 3))))
     assert f.shape == (2, 5)
     assert eps.shape == (2, 4, 3)
     st = store()
-    bare = SppHead(st, "h", 4, 3, 5, redundancy=False)
+    bare = SppHead(st, "h", 4, 3, 5)
     f, eps = bare(Tensor(np.random.default_rng(4).standard_normal((2, 4, 3))))
     assert f.shape == (2, 5) and eps is None
     assert sorted(st.params) == ["h.forecast.b", "h.forecast.w"]
 
 
+def test_spp_branch_drawn_into_a_spare_store_spends_its_draws_and_never_runs(monkeypatch):
+    """The head keeps only its forecast branch, bit-equal to a full head's, and
+    the next draw from the shared stream is the one after a full head."""
+    full_store, rng = store(9), np.random.default_rng(9)
+    own, spare = ParamStore(rng), ParamStore(rng)
+    full = SppHead(full_store, "h", 4, 3, 5, redundancy=full_store)
+    head = SppHead(own, "h", 4, 3, 5, redundancy=spare)
+    assert sorted(own.params) == ["h.forecast.b", "h.forecast.w"] and head.redundancy is None
+    assert sorted(spare.params) == ["h.redundancy.b", "h.redundancy.w"]
+    for name, p in own.params.items():
+        assert np.array_equal(p.data, full_store.params[name].data), name
+    assert rng.uniform() == full_store.rng.uniform()
+    calls = []
+    monkeypatch.setattr(type(head.forecast), "__call__", lambda self, x: calls.append(self) or x)
+    _, eps = head(Tensor(np.zeros((2, 4, 3))))
+    assert eps is None and calls == [head.forecast]
+
+
 def test_spp_zero_weights_zero_outputs():
     st = store()
-    head = SppHead(st, "h", 4, 3, 5)
+    head = SppHead(st, "h", 4, 3, 5, redundancy=st)
     for p in st.params.values():
         p.data[...] = 0.0
     f, eps = head(Tensor(np.random.default_rng(5).standard_normal((1, 4, 3))))

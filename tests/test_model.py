@@ -186,6 +186,9 @@ def test_loss_decomposes_into_terms():
     bare = mlf_loss(bundle, target, use_reconstruction=False)
     assert float(bare.total.data) == pytest.approx(parts.forecast_term)
     assert bare.reconstruction_term == 0.0
+    ablated = build_model(apply_ablation(TOY, "reconstruction_loss"), seed=0).forward(windows, training=True)
+    assert ablated.reconstructions == ablated.raw_patches == []
+    assert mlf_loss(ablated, target).reconstruction_term == 0.0
 
 
 def test_loss_zero_when_everything_perfect():
@@ -328,9 +331,9 @@ def test_no_map_variant_runs_with_uneven_patch_counts():
 
 # -- gradient coverage -------------------------------------------------------------
 
-# Parameters an ablation leaves without a gradient, as name patterns; the base
-# config leaves none. The adaptive-patching ablation needs periods >= 8.
-NO_GRADIENT = {
+# Tensors a variant does not build, as name patterns: what its forward never
+# reads. The base config and the adaptive-patching ablation build every stage.
+NOT_BUILT = {
     None: (),
     "irf": ("*.redundancy.*",),
     "lwi": ("lwi.*",),
@@ -340,8 +343,14 @@ NO_GRADIENT = {
 }
 
 
+def built_by(names, flag):
+    """Of base's `names`, those that the `flag` variant builds."""
+    return {name for name in names if not any(fnmatch(name, pat) for pat in NOT_BUILT[flag])}
+
+
 @pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
 def test_one_step_gradient_coverage(flag):
+    """Every parameter of every variant gets a gradient from one training backward."""
     cfg = replace(TOY, period_lengths=(8, 16)) if flag == "map" else TOY
     if flag is not None:
         cfg = apply_ablation(cfg, flag)
@@ -349,18 +358,23 @@ def test_one_step_gradient_coverage(flag):
     bundle = model.forward(toy_windows(3, 0, cfg), training=True)
     target = np.random.default_rng(1).standard_normal((3, cfg.horizon))
     backward(mlf_loss(bundle, target, use_reconstruction=cfg.use_reconstruction_loss).total)
-    without = {name for name, p in model.params.items() if p.grad is None}
-    expected = {name for name in model.params if any(fnmatch(name, pat) for pat in NO_GRADIENT[flag])}
-    assert without == expected
-    assert bool(expected) == bool(NO_GRADIENT[flag])
+    assert [name for name, p in model.params.items() if p.grad is None] == []
+    assert built_by(model.params, flag) == set(model.params)
+
+
+# Tensors and parameters of the paper-default model, by variant.
+PAPER_CENSUS = {None: (102, 1_690_210), "irf": (94, 639_586), "lwi": (94, 1_302_898), "ma": (66, 1_590_562),
+                "reconstruction_loss": (78, 1_662_352)}
 
 
 def test_paper_default_parameter_count():
-    model = build_model(MlfConfig(period_lengths=(96, 192, 336), horizon=24), seed=0)
-    assert len(model.params) == 102
-    assert sum(p.size for p in model.params.values()) == 1_690_210
-    redundancy = sorted({name.rsplit(".", 2)[0] for name in model.params if ".redundancy." in name})
-    assert redundancy == ["block0.spp.p0", "block0.spp.p1", "block1.spp.p0", "block1.spp.p1"]
+    cfg = MlfConfig(period_lengths=(96, 192, 336), horizon=24)
+    for flag, (tensors, size) in PAPER_CENSUS.items():
+        model = build_model(cfg if flag is None else apply_ablation(cfg, flag), seed=0)
+        assert (len(model.params), sum(p.size for p in model.params.values())) == (tensors, size), flag
+        redundancy = sorted({name.rsplit(".", 2)[0] for name in model.params if ".redundancy." in name})
+        heads = [] if flag == "irf" else ["block0.spp.p0", "block0.spp.p1", "block1.spp.p0", "block1.spp.p1"]
+        assert redundancy == heads, flag
 
 
 # -- seeding ---------------------------------------------------------------------
@@ -376,7 +390,15 @@ def test_seed_streams_are_independent_and_reproducible():
 
 
 def test_same_seed_same_parameters_across_ablations():
-    base = build_model(TOY, seed=7)
-    variant = build_model(apply_ablation(TOY, "irf"), seed=7)
-    for name, p in base.params.items():
-        assert np.array_equal(p.data, variant.params[name].data), name
+    """Each variant that switches a stage off holds base's tensors minus those
+    it does not build, each bit-equal to base's: a switched-off stage still
+    spends its draws. The adaptive-patching ablation changes every patch
+    shape, so it shares no initial weights with base."""
+    base = build_model(TOY, seed=7).state_arrays()
+    switched_off = [flag for flag in ABLATION_FLAGS if NOT_BUILT[flag]]
+    assert set(ABLATION_FLAGS) - set(switched_off) == {"map"}
+    for flag in switched_off:
+        variant = build_model(apply_ablation(TOY, flag), seed=7).state_arrays()
+        assert set(variant) == built_by(base, flag) != set(base), flag
+        for name, array in variant.items():
+            assert np.array_equal(array, base[name]), (flag, name)

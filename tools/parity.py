@@ -14,7 +14,10 @@ differ, save each line to a file and compare them key by key:
 
 A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
 the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
-CSV and every restored digest stay equal.
+CSV and every restored digest stay equal. A change that drops parameters
+also moves the `gradients` and `restored_state` digests of each variant it
+touches, since both hash every tensor by name; to show that it keeps every
+value, compare those tensors name by name.
 
 It covers the desk config on regime-switching data, as base and with each
 ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
@@ -83,14 +86,17 @@ def digest(value) -> str:
 
 def first_batch_gradients(cfg: MlfConfig, ds: SeriesDataset, split) -> bytes:
     """Every parameter's gradient, by name, after one backward on the first
-    training batch of a freshly built model; `-` marks a parameter with none."""
+    training batch of a freshly built model. A parameter without one is an
+    error that names it: the model builds only what its forward reads."""
     model = build_model(cfg, seed=SEED)
     channels, anchors = training.sample_index(ds, split.train, cfg)
     _, windows, targets = next(training.batches(ds, cfg, channels, anchors))
     backward(mlf_loss(model.forward(windows, training=True), targets,
                       use_reconstruction=cfg.use_reconstruction_loss).total)
-    return b"".join(name.encode() + (b"-" if p.grad is None else p.grad.tobytes())
-                    for name, p in sorted(model.params.items()))
+    missing = sorted(name for name, p in model.params.items() if p.grad is None)
+    if missing:
+        raise SystemExit(f"parameters without a gradient: {missing}")
+    return b"".join(name.encode() + p.grad.tobytes() for name, p in sorted(model.params.items()))
 
 
 def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
