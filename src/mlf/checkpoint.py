@@ -6,11 +6,13 @@ header order. A tensor entry is its name and shape only, so each offset is
 the running sum of the sizes before it. Writing the same state twice
 produces byte-identical files, which the reproducibility guarantee relies
 on. `load_checkpoint` is the one place that validates a header: every field
-its readers use has its type, and the payload is exactly the tensors, or the
-load fails with a `CheckpointError`, as it does when a tensor holds NaN or
-Inf. It reads the payload after the header once, into one writable buffer
-sized from the file, and each loaded tensor is an aligned view into that
-buffer, not a copy.
+its readers use has its type (the config, the normalization, `meta.data`, and
+the run's `dataset` section, `meta.run.dataset`, walked with
+`model.DATASET_FIELDS`), and the payload is exactly the tensors, or the load
+fails with a `CheckpointError`, as it does when a tensor holds NaN or Inf. It
+reads the payload after the header once, into one writable buffer sized from
+the file, and each loaded tensor is an aligned view into that buffer, not a
+copy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, MlfConfig, has_type
+from .model import DATASET_FIELDS, ConfigError, MlfConfig, check_section, has_type
 
 MAGIC = b"MLFCKPT1"
 # Version 2: SPP heads carry a redundancy branch only where the forward pass
@@ -128,8 +130,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def check_fields(path: str, header: dict) -> None:
-    """Reject a header whose tensor table, config, normalization or meta its
-    readers would trip on."""
+    """Reject a header whose tensor table, config, normalization or meta,
+    down to each field of `meta.run.dataset`, its readers would trip on."""
     try:
         MlfConfig.from_dict(header.get("config"))
     except ConfigError as exc:
@@ -157,3 +159,7 @@ def check_fields(path: str, header: dict) -> None:
     for rule, holds in rules.items():
         if not holds:
             raise CheckpointError(f"{path}: corrupt header: {rule}")
+    try:
+        check_section(run.get("dataset", {}), DATASET_FIELDS, "meta.run.dataset.")
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from None

@@ -1,11 +1,13 @@
 """Command-line interface: train, eval, forecast, ablate, synth-data.
 
 Runs are described by a JSON config file; individual fields can be
-overridden with repeated `--set dotted.key=value` flags. Every command
-writes a resolved-config snapshot next to its outputs so a run can be
-reproduced from the snapshot alone. Each error category has one exception
-type, and `main` maps it to the one `error[<code>]: message` line it prints
-to stderr before exiting nonzero.
+overridden with repeated `--set dotted.key=value` flags. `train` and
+`ablate` write a resolved-config snapshot next to their outputs so a run can
+be reproduced from the snapshot alone; `train` also records the `dataset`
+section in the checkpoint, and `eval` and `forecast` read their data file in
+the format it names. Each error category has one exception type, and `main`
+maps it to the one `error[<code>]: message` line it prints to stderr before
+exiting nonzero.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .data import (
     standardize,
 )
 from .metrics import MetricError
-from .model import ConfigError, MlfConfig, MlfModel, build_model, check_section, has_type
+from .model import DATASET_FIELDS, ConfigError, MlfConfig, MlfModel, build_model, check_section, int_at_least
 from .training import DivergenceError, evaluate, train
 
 OUTPUT_DIR_ENV = "MLF_OUTPUT_DIR"
@@ -52,32 +54,6 @@ class UsageError(Exception):
 
 # -- config handling -----------------------------------------------------------
 
-
-def int_at_least(least: int) -> tuple:
-    """The (test, what a valid value is) pair of an integer >= `least`."""
-    return (lambda v: has_type(v, "int") and v >= least, f"an integer >= {least}")
-
-
-# A `dataset` section's table for `check_section`. Every field that a reader
-# of the section uses is here, so `read_dataset` and `synth.generate` take
-# their `format` and `kind` as given.
-DATASET_FIELDS = {
-    "path": ((lambda v: isinstance(v, str), "a string"),),
-    "format": ((lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),),
-    "anchor_stride": (int_at_least(1),),
-    "synthetic": {
-        "kind": ((lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),),
-        "n_steps": (int_at_least(1),),
-        "n_channels": (int_at_least(1),),
-        "seed": (int_at_least(0),),
-    },
-    "split": {
-        "scheme": ((lambda v: v in ("ratio", "ett"), "'ratio' or 'ett'"),),
-        "ratios": ((lambda v: isinstance(v, list) and len(v) == 3 and all(has_type(n, "int") and n >= 0 for n in v)
-                    and sum(v) > 0, "a list of 3 integers >= 0 with a positive sum"),),
-        "rows_per_month": (int_at_least(1),),
-    },
-}
 
 # The run config's table; `MlfConfig.from_dict` checks the model section.
 RUN_FIELDS = {
@@ -134,10 +110,10 @@ def apply_override(config: dict, item: str) -> None:
     node[parts[-1]] = value
 
 
-def read_dataset(path: str, fmt: str) -> SeriesDataset:
-    """The one reader of data files: `fmt` is 'generic' or 'fund', as
-    `DATASET_FIELDS` and the `--format` choices make it."""
-    return load_fund_csv(path) if fmt == "fund" else load_csv(path)
+def read_dataset(path: str, section: dict) -> SeriesDataset:
+    """The one reader of data files, in the format of a `dataset` section
+    that `DATASET_FIELDS` checked: 'fund', or 'generic' when it sets none."""
+    return load_fund_csv(path) if section.get("format") == "fund" else load_csv(path)
 
 
 def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
@@ -148,29 +124,15 @@ def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
     section = raw["dataset"]
     if "path" in section and "synthetic" in section:
         raise ConfigError("dataset section takes 'path' or 'synthetic', not both")
+    if "format" in section and "path" not in section:  # eval and forecast read their data file in it
+        raise ConfigError("dataset section takes 'format' only with 'path'")
     if "synthetic" in section:
-        spec = section["synthetic"]
-        ds = synth.generate(
-            spec.get("kind", "trend"), spec.get("n_steps", 2000), spec.get("n_channels", 1), spec.get("seed", 0)
-        )
+        ds = synth.generate(**section["synthetic"])
     elif "path" in section:
-        ds = read_dataset(section["path"], section.get("format", "generic"))
+        ds = read_dataset(section["path"], section)
     else:
         raise ConfigError("dataset section needs either 'path' or 'synthetic'")
     return ds, section
-
-
-def split_from(section: dict, ds: SeriesDataset, cfg: MlfConfig):
-    """The split of a checked `dataset` section."""
-    spec = section.get("split", {})
-    return split_dataset(
-        ds,
-        spec.get("scheme", "ratio"),
-        ratios=tuple(spec.get("ratios", (7, 1, 2))),
-        rows_per_month=spec.get("rows_per_month", 720),
-        min_history=max(cfg.period_lengths),
-        horizon=cfg.horizon,
-    )
 
 
 def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
@@ -178,7 +140,7 @@ def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
     `data_record` of the values before standardization."""
     cfg = MlfConfig.from_dict(raw.get("model"))
     ds, section = load_dataset_from(raw)
-    split = split_from(section, ds, cfg)
+    split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     record = data_record(ds)
     ds = standardize(ds, split)
     return cfg, ds, split, section, record
@@ -289,17 +251,13 @@ def apply_checkpoint_norm(ds: SeriesDataset, ckpt: Checkpoint) -> SeriesDataset:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     section = ckpt.meta.get("run", {}).get("dataset", {})
-    try:
-        check_section(section, DATASET_FIELDS, "dataset.")
-    except ConfigError as exc:
-        raise CheckpointError(f"{args.checkpoint}: corrupt header: meta.run.{exc}") from None
     model = restore_model(ckpt)
     cfg = model.config
     if args.export_attention is not None and not cfg.use_attention:
         raise UsageError("attention export requires a model with attention enabled")
     if args.export_weights is not None and not cfg.use_lwi:
         raise UsageError("weight export requires the learned-integration head")
-    ds = read_dataset(args.data, args.format)
+    ds = read_dataset(args.data, section)
     # The split is recomputed from the file, so only the training data itself
     # scores the rows the checkpoint's run held out. Checkpoints written
     # without a data record (through the library API) are not checked.
@@ -310,7 +268,7 @@ def cmd_eval(args) -> int:
             f"(sha256 {found['sha256'][:12]}), training data had {trained_on['rows']} rows "
             f"(sha256 {trained_on['sha256'][:12]})"
         )
-    split = split_from(section, ds, cfg)
+    split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = apply_checkpoint_norm(ds, ckpt)
     with np.errstate(over="ignore", invalid="ignore"):  # compute_metrics reports overflow as error[metric]
         result = evaluate(
@@ -319,10 +277,10 @@ def cmd_eval(args) -> int:
             split,
             args.split,
             collect_attention=args.export_attention is not None,
-            fund_style=args.format == "fund",
+            fund_style=section.get("format") == "fund",
         )
-    print(json_text(result.to_dict(), indent=2))
-
+    # The exports are written before anything is printed, so one that fails
+    # is the run's one error[io] line.
     if args.export_attention is not None:
         np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.17g")
         sidecar = {
@@ -333,10 +291,12 @@ def cmd_eval(args) -> int:
         }
         with open(args.export_attention + ".tokens.json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)
-        print(f"attention matrix: {args.export_attention}")
     if args.export_weights is not None:
         np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.17g")
-        print(f"integration weights: {args.export_weights}")
+    print(json_text(result.to_dict(), indent=2))
+    for label, out in (("attention matrix", args.export_attention), ("integration weights", args.export_weights)):
+        if out is not None:
+            print(f"{label}: {out}")
     return 0
 
 
@@ -344,7 +304,7 @@ def cmd_forecast(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
     cfg = model.config
-    ds = read_dataset(args.data, args.format)
+    ds = read_dataset(args.data, ckpt.meta.get("run", {}).get("dataset", {}))
     needed = max(cfg.period_lengths)
     if ds.n_steps < needed:
         raise DataError(f"need at least {needed} history rows, file has {ds.n_steps}")
@@ -409,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--data", required=True, help="dataset CSV")
-    p_eval.add_argument("--format", choices=("generic", "fund"), default="generic")
     p_eval.add_argument("--split", choices=("train", "val", "test"), default="test")
     p_eval.add_argument("--export-attention", metavar="CSV", default=None)
     p_eval.add_argument("--export-weights", metavar="CSV", default=None)
@@ -418,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fore = sub.add_parser("forecast", help="forecast past the end of a CSV")
     p_fore.add_argument("checkpoint")
     p_fore.add_argument("--data", required=True)
-    p_fore.add_argument("--format", choices=("generic", "fund"), default="generic")
     p_fore.add_argument("--output", default=None)
     p_fore.set_defaults(fn=cmd_forecast)
 

@@ -10,6 +10,7 @@ from operator import le
 
 import numpy as np
 
+from . import synth
 from .autograd import ShapeError, Tensor, average, mse, no_grad
 from .encoder import EncoderBlock, SppHead, irf_filter
 from .layers import ParamStore
@@ -148,6 +149,35 @@ MODEL_FIELDS = {
 MODEL_FIELDS["squeeze_factor"] += ((lambda v: v in (1, 2, 4, 8), "one of 1/2/4/8"),)
 
 
+def int_at_least(least: int) -> tuple:
+    """The (test, what a valid value is) pair of an integer >= `least`."""
+    return (lambda v: has_type(v, "int") and v >= least, f"an integer >= {least}")
+
+
+# A `dataset` section's table: `cli.load_run_config` walks a run config's
+# section with it, and `load_checkpoint` a checkpoint's `meta.run.dataset`.
+# Every field that a reader of the section uses is here, so `cli.read_dataset`
+# takes its `format`, `synth.generate` its `synthetic` fields and
+# `split_dataset` its `split` fields as given.
+DATASET_FIELDS = {
+    "path": ((lambda v: isinstance(v, str), "a string"),),
+    "format": ((lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),),
+    "anchor_stride": (int_at_least(1),),
+    "synthetic": {
+        "kind": ((lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),),
+        "n_steps": (int_at_least(1),),
+        "n_channels": (int_at_least(1),),
+        "seed": (int_at_least(0),),
+    },
+    "split": {
+        "scheme": ((lambda v: v in ("ratio", "ett"), "'ratio' or 'ett'"),),
+        "ratios": ((lambda v: isinstance(v, list) and len(v) == 3 and all(has_type(n, "int") and n >= 0 for n in v)
+                    and sum(v) > 0, "a list of 3 integers >= 0 with a positive sum"),),
+        "rows_per_month": (int_at_least(1),),
+    },
+}
+
+
 def validate_config(cfg: MlfConfig) -> None:
     """Each field on its own (`MODEL_FIELDS`), then the rules that compare
     one field, or one period, with another."""
@@ -227,8 +257,8 @@ class MlfModel:
     estimates filter the next block's input. Each block's attention is four
     tensors: per-head Q, K and V stacked as (H, D, d_k) and the (D, D) output map.
 
-    Period s has `block_sizes[s]` = max(1, ceil(n_patches / squeeze_factor))
-    tokens after the squeeze. Under adaptive patching every period has
+    Period s has `block_sizes[s]` = ceil(n_patches / squeeze_factor) tokens
+    after the squeeze. Under adaptive patching every period has
     n_patches patches, a multiple of the squeeze factor, so each has
     n_patches / squeeze_factor tokens; under the ablation the count grows
     with the period, as its patch count does.
@@ -246,7 +276,7 @@ class MlfModel:
                 make(spare)
             return make(store) if on else None
 
-        self.block_sizes = [max(1, -(-p.n_patches // cfg.squeeze_factor)) for p in self.geometries]
+        self.block_sizes = [-(-p.n_patches // cfg.squeeze_factor) for p in self.geometries]
         self.token_ranges = [(sum(self.block_sizes[:s]), sum(self.block_sizes[: s + 1])) for s in range(cfg.n_periods)]
 
         # Per-period patch embeddings: projection into model space plus a

@@ -105,8 +105,9 @@ GENERATORS = {
 }
 
 
-def generate(kind: str, n_steps: int, n_channels: int, seed: int) -> SeriesDataset:
-    """The series of `kind`, a key of GENERATORS."""
+def generate(kind: str = "trend", n_steps: int = 2000, n_channels: int = 1, seed: int = 0) -> SeriesDataset:
+    """The series of `kind`, a key of GENERATORS; the defaults are those of a
+    run config's `dataset.synthetic` section."""
     return GENERATORS[kind](n_steps, n_channels, seed)
 
 

@@ -459,13 +459,20 @@ def raw_file(path, blob):
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps(
             {"model": TOY_MODEL, "dataset": {"path": str(tmp / "absent.csv"), "synthetic": {}}}))],
          "dataset section takes 'path' or 'synthetic', not both"),
+        ("config", lambda tmp: ["train", config_file(tmp, json.dumps(
+            {"model": TOY_MODEL, "dataset": {"synthetic": {}, "format": "fund"}}))],
+         "dataset section takes 'format' only with 'path'"),
+        ("io", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
+                            "--data", write_history(tmp / "d.csv", 160),
+                            "--export-attention", str(tmp / "absent" / "a.csv")], "No such file or directory"),
     ],
     ids=["io", "config-json", "config-object", "config-set-path", "config-top-level-key", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
          "usage-rows-negative", "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative",
          "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
          "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
-         "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic"],
+         "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic",
+         "config-dataset-format-without-path", "io-export-path"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -506,7 +513,7 @@ def test_seeded_header_and_csv_edits_print_one_error_line_or_a_finite_result(tmp
     forecast (for `eval`, its JSON report)."""
     data = write_history(tmp_path / "d.csv", 160)
     ckpt = load_checkpoint(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM))
-    ckpt.meta = {"run": {"seed": 0, "dataset": {}}, "data": cli.data_record(cli.read_dataset(data, "generic"))}
+    ckpt.meta = {"run": {"seed": 0, "dataset": {}}, "data": cli.data_record(cli.read_dataset(data, {}))}
     save_checkpoint(str(tmp_path / "m.ckpt"), ckpt)
     blob, csv_blob = (tmp_path / "m.ckpt").read_bytes(), Path(data).read_bytes()
     header_end = 16 + int.from_bytes(blob[8:16], "little")
@@ -647,13 +654,48 @@ def test_bad_dataset_field_is_one_config_error_line_from_train(toy_run, capsys, 
     assert out == "" and not out_dir.exists()
 
 
-@pytest.mark.parametrize("section, needle", BAD_DATASET_SECTIONS.values(), ids=BAD_DATASET_SECTIONS.keys())
-def test_bad_dataset_field_is_one_checkpoint_error_line_from_eval(tmp_path, capsys, section, needle):
-    path = str(tmp_path / "bad.ckpt")
+def assert_bad_dataset_field_is_one_checkpoint_error_line(tmp_path, capsys, command, section, needle):
+    path, out_csv = str(tmp_path / "bad.ckpt"), tmp_path / "f.csv"
     ckpt = load_checkpoint(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM))
     ckpt.meta = {"run": {"seed": 0, "dataset": section}}
     save_checkpoint(path, ckpt)
-    code, out, err = run_cli(capsys, "eval", path, "--data", write_history(tmp_path / "d.csv", 160))
+    argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
+    code, out, err = run_cli(capsys, *argv, *(["--output", str(out_csv)] if command == "forecast" else []))
     assert code == 1
     assert err.startswith(f"error[checkpoint]: {path}: corrupt header: meta.run.{needle}"), err
-    assert err.count("\n") == 1 and out == ""
+    assert err.count("\n") == 1 and out == "" and not out_csv.exists()
+
+
+@pytest.mark.parametrize("section, needle", BAD_DATASET_SECTIONS.values(), ids=BAD_DATASET_SECTIONS.keys())
+def test_bad_dataset_field_is_one_checkpoint_error_line_from_eval(tmp_path, capsys, section, needle):
+    assert_bad_dataset_field_is_one_checkpoint_error_line(tmp_path, capsys, "eval", section, needle)
+
+
+@pytest.mark.parametrize("section, needle", BAD_DATASET_SECTIONS.values(), ids=BAD_DATASET_SECTIONS.keys())
+def test_bad_dataset_field_is_one_checkpoint_error_line_from_forecast(tmp_path, capsys, section, needle):
+    assert_bad_dataset_field_is_one_checkpoint_error_line(tmp_path, capsys, "forecast", section, needle)
+
+
+def test_a_fund_run_is_served_in_the_format_its_checkpoint_records(tmp_path, capsys):
+    """`eval` and `forecast` take no format option: they read the data file
+    as the `dataset` section stored in the checkpoint says, here 'fund'."""
+    from mlf.synth import generate
+
+    amounts = 10.0 + np.abs(generate("trend", 160, 2, 3).values)
+    fund_csv = tmp_path / "fund.csv"
+    fund_csv.write_text("date,apply_amt,redeem_amt,is_trad,holiday_num\n" + "".join(
+        f"{i},{a!r},{r!r},{i % 2},0\n" for i, (a, r) in enumerate(amounts.tolist())))
+    config = {"output_dir": str(tmp_path / "out"), "dataset": {"path": str(fund_csv), "format": "fund"},
+              "model": dict(TOY_MODEL, epochs=1)}
+    code, _, err = run_cli(capsys, "train", config_file(tmp_path, json.dumps(config)))
+    assert code == 0, err
+    ckpt_path = str(tmp_path / "out" / "checkpoint.mlfckpt")
+    code, stdout, err = run_cli(capsys, "eval", ckpt_path, "--data", str(fund_csv))
+    assert code == 0, err
+    # `train` scored its test split with the per-channel WMAPE summed, as fund data is scored.
+    assert json.loads(stdout) == read_jsonl(tmp_path / "out" / "train_log.jsonl")[-1]["test"]
+    out_csv = tmp_path / "pred.csv"
+    code, _, err = run_cli(capsys, "forecast", ckpt_path, "--data", str(fund_csv), "--output", str(out_csv))
+    assert code == 0, err
+    rows = read_rows(out_csv)
+    assert rows[0] == ["step", "apply_amt", "redeem_amt"] and len(rows) == 1 + TOY_MODEL["horizon"]
