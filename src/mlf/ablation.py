@@ -77,13 +77,14 @@ def ablate(
     flags,
     *,
     seeds=(0,),
-    eval_split: str = "test",
+    anchor_stride: int = 1,
 ) -> AblationReport:
     """Train the base config and each single-flag variant under shared seeds.
 
     Metrics are test-split normalized MSE/MAE, aggregated over seeds. The
-    same seed list drives every variant, so weight init and batch order are
-    shared wherever shapes allow. Every flag is checked before any training.
+    same seeds and `anchor_stride` drive every variant's `train`, so weight
+    init and batch order are shared wherever shapes allow. Every flag is
+    checked before any training.
     """
     flags = normalize_flags(flags)
     variants = [("base", base_config)] + [(f"w/o {f}", apply_ablation(base_config, f)) for f in flags]
@@ -92,8 +93,8 @@ def ablate(
         mses, maes = [], []
         for seed in seeds:
             model = build_model(config, seed=int(seed))
-            train(model, ds, split, seed=int(seed))
-            result = evaluate(model, ds, split, eval_split)
+            train(model, ds, split, seed=int(seed), anchor_stride=anchor_stride)
+            result = evaluate(model, ds, split, "test")
             mses.append(result.report_normalized.mse)
             maes.append(result.report_normalized.mae)
         report.rows.append(VariantResult(label, mses, maes))

@@ -279,20 +279,31 @@ def cmd_eval(args) -> int:
             collect_attention=args.export_attention is not None,
             fund_style=section.get("format") == "fund",
         )
-    # The exports are written before anything is printed, so one that fails
-    # is the run's one error[io] line.
+    # The exports are written before anything is printed, all or none, so one
+    # that fails is the run's one error[io] line and leaves no file behind.
+    matrix_csv = functools.partial(np.savetxt, delimiter=",", fmt="%.17g")
+    exports = []  # (path, write(fh)) pairs
     if args.export_attention is not None:
-        np.savetxt(args.export_attention, result.attention_mean, delimiter=",", fmt="%.17g")
         sidecar = {
             "token_ranges": [
                 {"period_length": n, "start": a, "end": b}
                 for n, (a, b) in zip(cfg.period_lengths, model.token_ranges)
             ]
         }
-        with open(args.export_attention + ".tokens.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
+        exports.append((args.export_attention, lambda fh: matrix_csv(fh, result.attention_mean)))
+        exports.append((args.export_attention + ".tokens.json", lambda fh: json.dump(sidecar, fh, indent=2)))
     if args.export_weights is not None:
-        np.savetxt(args.export_weights, result.att_mean, delimiter=",", fmt="%.17g")
+        exports.append((args.export_weights, lambda fh: matrix_csv(fh, result.att_mean)))
+    written = []
+    try:
+        for path, write in exports:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                write(fh)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     print(json_text(result.to_dict(), indent=2))
     for label, out in (("attention matrix", args.export_attention), ("integration weights", args.export_weights)):
         if out is not None:
@@ -330,8 +341,9 @@ def cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     raw = load_run_config(args.config, args.set, args.seed, args.output)
-    cfg, ds, split, _section, _record = prepare(raw)
-    report = ablate(ds, split, cfg, args.flags.split(","), seeds=list(range(args.seeds)))
+    cfg, ds, split, section, _record = prepare(raw)
+    seeds = range(raw["seed"], raw["seed"] + args.seeds)
+    report = ablate(ds, split, cfg, args.flags.split(","), seeds=seeds, anchor_stride=section.get("anchor_stride", 1))
     out_dir = raw["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_resolved_config(out_dir, raw)
@@ -342,10 +354,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    for flag, value, least in (("--rows", args.rows, 2), ("--channels", args.channels, 1), ("--seed", args.seed, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
-    ds = synth.generate(args.kind, args.rows, args.channels, args.seed)
+    # Only the flags given reach generate, whose signature holds the defaults.
+    given = {k: v for k, v in vars(args).items() if k in ("kind", "n_steps", "n_channels", "seed") and v is not None}
+    for flag, key, least in (("--rows", "n_steps", 2), ("--channels", "n_channels", 1), ("--seed", "seed", 0)):
+        if given.get(key, least) < least:
+            raise UsageError(f"{flag} must be >= {least}, got {given[key]}")
+    ds = synth.generate(**given)
     synth.write_csv(ds, args.output)
     print(f"wrote {ds.n_steps} rows x {ds.n_channels} channels: {args.output}")
     return 0
@@ -383,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablate", help="compare the base config against component-off variants")
     p_abl.add_argument("config")
     p_abl.add_argument("--flags", required=True, help="comma-separated: irf,lwi,map,ma,reconstruction_loss")
-    p_abl.add_argument("--seeds", type=int, default=1)
+    p_abl.add_argument("--seeds", type=int, default=1, help="number of seeds, counted up from the run's seed")
     _common_run_flags(p_abl)
     p_abl.set_defaults(fn=cmd_ablate)
 
     p_synth = sub.add_parser("synth-data", help="write a synthetic dataset CSV")
-    p_synth.add_argument("--kind", choices=sorted(synth.GENERATORS), default="trend")
-    p_synth.add_argument("--rows", type=int, default=2000)
-    p_synth.add_argument("--channels", type=int, default=1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--kind", choices=sorted(synth.GENERATORS))
+    p_synth.add_argument("--rows", dest="n_steps", type=int)
+    p_synth.add_argument("--channels", dest="n_channels", type=int)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--output", required=True)
     p_synth.set_defaults(fn=cmd_synth_data)
 

@@ -397,7 +397,7 @@ class MlfModel:
                     z, scores = self.blocks[e](tokens, training=training, collect_scores=collect_diagnostics)
                     if collect_diagnostics:
                         attention_scores.append(scores)
-                period_blocks = split_periods(z, self.block_sizes)
+                period_blocks = split_periods(z, self.token_ranges)
                 forecasts, epsilons = zip(*(head(period_blocks[s]) for s, head in enumerate(heads)))
                 block_forecasts.append(forecasts)
                 if e == cfg.n_blocks - 1:

@@ -1,11 +1,12 @@
 """Adaptive patching (MAP): turn windows of any length into a fixed patch count.
 
 Each window is cut into overlapping patches of length L = 2K taken at
-stride K = floor(n / N), after it is fitted to N * K steps, so every period
-yields exactly N patches: short and long histories feed the encoder the
-same number of tokens. The ablation cuts the whole window into patches of a
-fixed L and K instead, so its patch count grows with the window. Both are one
-`PatchParams`, and `make_patches` is the one path: fit, then patchify.
+stride K = floor(n / N) over its newest N * K steps, so every period yields
+exactly N patches: short and long histories feed the encoder the same number
+of tokens. The ablation cuts the whole window into patches of a fixed L and
+K instead, so its patch count grows with the window. Both are one
+`PatchParams`, and `make_patches` is the one path: one gather over a clamped
+window index.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .autograd import Tensor, add, matmul
 
 @dataclass(frozen=True)
 class PatchParams:
-    """Patch geometry of one period: windows are fitted to `fitted_len`
-    steps, then cut into `n_patches` patches of length L at stride K."""
+    """Patch geometry of one period: `n_patches` patches of length L at stride
+    K, the first starting `fitted_len` steps before a window's end."""
 
     fitted_len: int
     stride: int  # K
@@ -32,7 +33,7 @@ def derive_patch_params(window_len: int, n_patches: int) -> PatchParams:
     """MAP's geometry: K = floor(n / N) and L = 2K over N * K fitted steps.
 
     The stride is clamped to 1 so windows shorter than the patch count stay
-    usable (they get left-padded by fit_length).
+    usable (`make_patches` left-pads them).
     """
     stride = max(1, window_len // n_patches)
     return PatchParams(n_patches * stride, stride, 2 * stride, n_patches)
@@ -47,38 +48,18 @@ def fixed_patch_params(window_len: int, patch_len: int, stride: int) -> PatchPar
     return PatchParams(window_len, stride, patch_len, (window_len - patch_len) // stride + 2)
 
 
-def fit_length(windows: np.ndarray, params: PatchParams) -> np.ndarray:
-    """Trim or pad windows (last axis) to the exact length the geometry needs.
+def make_patches(windows: np.ndarray, params: PatchParams) -> np.ndarray:
+    """Cut (..., n) windows into (..., L, N) patch matrices, patch p in column p.
 
-    Longer windows drop their oldest values (recency carries the signal);
-    shorter ones are left-padded by repeating the first value.
+    Row l of patch p reads window step (n - fitted_len) + K * p + l, clamped
+    to the window: a step before the first reads the first value (the left
+    pad of a window shorter than `fitted_len`), and one past the last reads
+    the last value (K copies of it end the fitted window, as in PatchTST).
     """
     n = windows.shape[-1]
-    target = params.fitted_len
-    if n == target:
-        return windows
-    if n > target:
-        return windows[..., n - target :]
-    pad = np.repeat(windows[..., :1], target - n, axis=-1)
-    return np.concatenate([pad, windows], axis=-1)
-
-
-def patchify(windows: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
-    """Cut (..., n) windows into (..., L, N) patch matrices.
-
-    K copies of the last value are appended before slicing, so
-    N = floor((n - L) / K) + 2. Patch p occupies column p.
-    """
-    tail = np.repeat(windows[..., -1:], stride, axis=-1)
-    padded = np.concatenate([windows, tail], axis=-1)
-    # (..., N, L) strided view, then patch-as-column layout.
-    view = np.lib.stride_tricks.sliding_window_view(padded, patch_len, axis=-1)
-    return np.ascontiguousarray(view[..., ::stride, :].swapaxes(-1, -2))
-
-
-def make_patches(windows: np.ndarray, params: PatchParams) -> np.ndarray:
-    """The one patching path: fit_length, then patchify."""
-    return patchify(fit_length(windows, params), params.patch_len, params.stride)
+    index = (n - params.fitted_len) + params.stride * np.arange(params.n_patches) + np.arange(params.patch_len)[:, None]
+    # np.take, not windows[..., index]: embed's matmul reads a C-contiguous result.
+    return np.take(windows, np.clip(index, 0, n - 1), axis=-1)
 
 
 def embed(patches: Tensor, w_proj: Tensor, w_pos: Tensor) -> Tensor:

@@ -61,14 +61,9 @@ def concat_periods(squeezed: list[Tensor]) -> Tensor:
     return concat(squeezed, axis=-1)
 
 
-def split_periods(tokens: Tensor, block_sizes: list[int]) -> list[Tensor]:
-    """Inverse of concat_periods: cut the token axis back into period blocks."""
-    out = []
-    offset = 0
-    for size in block_sizes:
-        out.append(narrow(tokens, -1, offset, size))
-        offset += size
-    return out
+def split_periods(tokens: Tensor, token_ranges: list[tuple[int, int]]) -> list[Tensor]:
+    """Inverse of concat_periods: cut the token axis at each period's [start, end)."""
+    return [narrow(tokens, -1, a, b - a) for a, b in token_ranges]
 
 
 def reconstruction_loss(reconstructed: list[Tensor], raw: list[Tensor]) -> Tensor:

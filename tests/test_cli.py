@@ -88,6 +88,16 @@ def test_synth_data_writes_csv(tmp_path, capsys):
     assert np.array_equal(load_csv(str(out)).values, generate("regime-switch", 50, 2, 1).values)
 
 
+def test_synth_data_defaults_are_generates(tmp_path, capsys):
+    from mlf.synth import generate, write_csv
+
+    out, reference = tmp_path / "s.csv", tmp_path / "reference.csv"
+    code, _, err = run_cli(capsys, "synth-data", "--output", str(out))
+    assert code == 0, err
+    write_csv(generate(), str(reference))
+    assert out.read_bytes() == reference.read_bytes()
+
+
 def test_train_produces_artifacts(trained):
     _, out_dir = trained
     assert (out_dir / "checkpoint.mlfckpt").exists()
@@ -330,6 +340,19 @@ def test_ablate_rows_and_dedup(toy_run, capsys):
     assert "variant" in stdout and "w/o irf" in stdout
 
 
+def test_ablate_runs_the_seeds_and_anchor_stride_of_the_run_config(toy_run, tmp_path, capsys):
+    # Base at --seeds 1 is the model that train fits from the same config.
+    path, out_dir = toy_run
+    flags = ["--seed", "5", "--set", "dataset.anchor_stride=3"]
+    code, _, err = run_cli(capsys, "train", str(path), *flags)
+    assert code == 0, err
+    trained_mse = read_jsonl(out_dir / "train_log.jsonl")[-1]["test"]["normalized"]["mse"]
+    ablate_dir = tmp_path / "ablate"
+    code, _, err = run_cli(capsys, "ablate", str(path), "--flags", "", "--seeds", "1", "--output", str(ablate_dir), *flags)
+    assert code == 0, err
+    assert read_json(ablate_dir / "ablation.json")["rows"][0]["mse_per_seed"] == [trained_mse]
+
+
 def test_ablate_unknown_flag(toy_run, capsys):
     path, _ = toy_run
     code, _, err = run_cli(capsys, "ablate", str(path), "--flags", "nonsense")
@@ -481,6 +504,21 @@ def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, n
     assert needle in err
     assert out == ""
     assert "Traceback" not in out + err
+
+
+def test_an_export_that_fails_leaves_no_export_behind(tmp_path, capsys):
+    attention = tmp_path / "a.csv"
+    code, out, err = run_cli(
+        capsys,
+        "eval", save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM),
+        "--data", write_history(tmp_path / "d.csv", 160),
+        "--export-attention", str(attention),
+        "--export-weights", str(tmp_path / "absent" / "w.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error[io]:") and err.count("\n") == 1, err
+    assert out == ""
+    assert not attention.exists() and not Path(str(attention) + ".tokens.json").exists()
 
 
 def test_damaged_checkpoints_through_forecast_print_one_error_line_or_a_finite_forecast(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_concat_and_split_are_inverse():
     blocks = [Tensor(rng.standard_normal((2, 3, 4))) for _ in range(6)]
     tokens = concat_periods(blocks)
     assert tokens.shape == (2, 3, 24)
-    back = split_periods(tokens, [4] * 6)
+    back = split_periods(tokens, [(4 * s, 4 * s + 4) for s in range(6)])
     for a, b in zip(back, blocks):
         assert np.array_equal(a.data, b.data)
 

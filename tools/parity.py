@@ -23,7 +23,7 @@ It covers the desk config on regime-switching data, as base and with each
 ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
 and the paper-default config on 7-channel seasonal data, as base and
 `w/o lwi`, with short step-capped runs: 8 cases of 13 digests each. A run
-takes about 15-19 s on a 2-core VM with one BLAS thread. For each case it
+takes about 12 s on a 2-core VM with one BLAS thread. For each case it
 digests the raw gradients of one `backward` on the first training batch of
 the freshly built model (before clipping and Adam), the train step losses,
 the epoch train and validation losses, `validation_loss` after training, the
