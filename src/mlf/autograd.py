@@ -15,11 +15,11 @@ closes over exactly the arrays and shapes it reads (as PyTorch keeps only
 saved tensors in its graph). So an intermediate Tensor the caller drops
 frees its array while the graph lives, unless a vjp reads it.
 
-Only the primitives the multi-period forecasting model needs are provided:
-matmul (with stacked/batched broadcasting), elementwise arithmetic with
-numpy-style broadcasting, softmax, tanh/sigmoid/relu, 1-d convolution,
-batch normalization, 1-d max pooling, reshape/transpose/concat/slicing,
-the mean over a list of tensors, and mean-squared error.
+Only the primitives the model runs are provided, with no option that no
+caller varies: matmul (with stacked broadcasting), add and mul with numpy
+broadcasting, softmax and concat over the last axis, transpose of the last
+two, narrow, reshape, tanh/sigmoid/relu, LWI's 1-d convolution, batch norm,
+1-d max pooling, the mean over a list of tensors, and mean-squared error.
 
 No primitive checks its output for NaN or Inf. Non-finite numbers are stopped
 where they enter: CSV cells, run-config fields and checkpoint tensors are
@@ -125,9 +125,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
@@ -180,17 +177,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), vjp, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    data = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _node(data, (a, b), vjp, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     data = a.data * b.data
@@ -236,11 +222,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), vjp, "matmul")
 
 
-def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
-    data = a.data.swapaxes(axis1, axis2)
+def transpose(a: Tensor) -> Tensor:
+    data = a.data.swapaxes(-1, -2)
 
     def vjp(g):
-        return (g.swapaxes(axis1, axis2),)
+        return (g.swapaxes(-1, -2),)
 
     return _node(data, (a,), vjp, "transpose")
 
@@ -255,16 +241,13 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(data, (a,), vjp, "reshape")
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
     tensors = [_lift(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return _node(data, tuple(tensors), vjp, "concat")
 
@@ -291,14 +274,15 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 # -- nonlinearities ---------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax: subtracts the per-slice maximum first."""
-    y = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis: subtracts each row's
+    maximum first."""
+    y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
     return _node(y, (a,), vjp, "softmax")
@@ -363,14 +347,18 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 # -- structured primitives: conv / batch norm / max pool ---------------------
 
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch_norm's running-estimate momentum, variance epsilon
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Length-preserving 1-d convolution.
 
-    x: (B, C_in, T); weight: (F, C_in, k) with odd k; bias: (F,) or None.
-    Zero padding of (k-1)/2 on both sides keeps the output length T.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Length-preserving 1-d convolution of LWI's constant input window.
+
+    x: (B, C_in, T); weight: (F, C_in, k) with odd k; bias: (F,). Zero
+    padding of (k-1)/2 on both sides keeps the output length T. Only the
+    weight and bias get gradients, so an x that requires grad is refused.
     """
-    x, weight = _lift(x), _lift(weight)
+    if x.requires_grad:
+        raise ValueError("conv1d computes no input gradient, but its input requires grad")
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError(f"conv1d expects (B,C,T) input and (F,C,k) weight, got {x.shape}, {weight.shape}")
     batch, c_in, t = x.shape
@@ -386,34 +374,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     term = np.empty_like(out)
     for j in range(k):
         out += np.einsum("fc,bct->bft", w_data[:, :, j], xpad[:, :, j : j + t], out=term)
-    parents = [x, weight]
-    if bias is not None:
-        bias = _lift(bias)
-        out += bias.data[None, :, None]
-        parents.append(bias)
-    need_x, need_w, has_bias = x.requires_grad, weight.requires_grad, bias is not None
-    # dx reads only the weight, and dw only the padded input.
-    pad_shape, w_shape = xpad.shape, w_data.shape
-    xpad, w_data = (xpad if need_w else None), (w_data if need_x else None)
+    out += bias.data[None, :, None]
 
-    def vjp(g):
-        gx = None
-        if need_x:
-            gpad = np.zeros(pad_shape, dtype=np.float64)
-            for j in range(k):
-                gpad[:, :, j : j + t] += np.einsum("fc,bft->bct", w_data[:, :, j], g)
-            gx = gpad[:, :, pad : pad + t]
-        gw = None
-        if need_w:
-            gw = np.empty(w_shape, dtype=np.float64)
-            for j in range(k):
-                gw[:, :, j] = np.einsum("bft,bct->fc", g, xpad[:, :, j : j + t])
-        grads = [gx, gw]
-        if has_bias:
-            grads.append(g.sum(axis=(0, 2)))
-        return tuple(grads)
+    def vjp(g):  # dw reads the padded input; x gets no gradient
+        gw = np.empty_like(w_data)
+        for j in range(k):
+            gw[:, :, j] = np.einsum("bft,bct->fc", g, xpad[:, :, j : j + t])
+        return None, gw, g.sum(axis=(0, 2))
 
-    return _node(out, tuple(parents), vjp, "conv1d")
+    return _node(out, (x, weight, bias), vjp, "conv1d")
 
 
 def batch_norm(
@@ -424,16 +393,13 @@ def batch_norm(
     running_var: np.ndarray,
     *,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Batch normalization of (B, C, T) over the batch and position axes.
 
     Training mode normalizes with batch statistics and updates the running
-    estimates in place; inference mode uses the running estimates.
-    gamma/beta have shape (C,).
+    estimates in place, with momentum BN_MOMENTUM; inference mode uses the
+    running estimates. gamma/beta have shape (C,).
     """
-    x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.ndim != 3:
         raise ShapeError(f"batch_norm expects (B,C,T) input, got {x.shape}")
     c = x.shape[1]
@@ -449,13 +415,13 @@ def batch_norm(
         # Running variance uses the unbiased estimate, matching the usual
         # deep-learning convention.
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mean, var = running_mean, running_var
-    inv_std = (1.0 / np.sqrt(var + eps))[None, :, None]
+    inv_std = (1.0 / np.sqrt(var + BN_EPS))[None, :, None]
     xhat = x.data - mean[None, :, None]
     xhat *= inv_std
 
@@ -476,7 +442,6 @@ def batch_norm(
 
 def max_pool1d(x: Tensor) -> Tensor:
     """Max pooling over the last axis with kernel and stride 2."""
-    x = _lift(x)
     if x.ndim != 3:
         raise ShapeError(f"max_pool1d expects (B,C,T) input, got {x.shape}")
     batch, c, t = x.shape

@@ -83,14 +83,20 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
     check_section(raw, RUN_FIELDS, "")
     for key, flag, value in (("seed", "--seed", seed), ("output_dir", "--output", output)):
         if value is not None:
-            for valid, what in RUN_FIELDS[key]:
-                if not valid(value):
-                    raise UsageError(f"{flag} must be {what}, got {value!r}")
-            raw[key] = value
+            raw[key] = check_flag(flag, value, RUN_FIELDS[key])
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         raw["output_dir"] = env_dir
     return raw
+
+
+def check_flag(flag: str, value, rule: tuple):
+    """`value` if it passes `rule`, the (test, what) pairs of the config field
+    that `flag` sets; else a `UsageError` that names the flag."""
+    for valid, what in rule:
+        if not valid(value):
+            raise UsageError(f"{flag} must be {what}, got {value!r}")
+    return value
 
 
 def apply_override(config: dict, item: str) -> None:
@@ -354,11 +360,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    # Only the flags given reach generate, whose signature holds the defaults.
-    given = {k: v for k, v in vars(args).items() if k in ("kind", "n_steps", "n_channels", "seed") and v is not None}
-    for flag, key, least in (("--rows", "n_steps", 2), ("--channels", "n_channels", 1), ("--seed", "seed", 0)):
-        if given.get(key, least) < least:
-            raise UsageError(f"{flag} must be >= {least}, got {given[key]}")
+    # Only the flags given reach generate, whose signature holds the defaults;
+    # each is checked as the `dataset.synthetic` field of a run config.
+    flags = {"kind": "--kind", "n_steps": "--rows", "n_channels": "--channels", "seed": "--seed"}
+    given = {key: check_flag(flags[key], value, DATASET_FIELDS["synthetic"][key])
+             for key, value in vars(args).items() if key in flags and value is not None}
     ds = synth.generate(**given)
     synth.write_csv(ds, args.output)
     print(f"wrote {ds.n_steps} rows x {ds.n_channels} channels: {args.output}")

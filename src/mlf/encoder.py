@@ -64,7 +64,7 @@ class EncoderBlock:
         batch, _, n_tok = x.shape
         q, k, v = (self._heads(w, x) for w in (self.w_q, self.w_k, self.w_v))
         scale = 1.0 / np.sqrt(self.d_k)
-        scores = softmax(scale * matmul(transpose(q), k), axis=-1)  # (B, H, N, N)
+        scores = softmax(scale * matmul(transpose(q), k))  # (B, H, N, N)
         merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
         kept = scores.data.swapaxes(0, 1) if collect_scores else None
         del q, k, v, scores  # only the tape, if any, keeps them through the feed-forward
@@ -112,7 +112,8 @@ class SppHead:
 
 
 def irf_filter(blocks: list[Tensor], epsilons: list[Tensor | None], d_k: int) -> list[Tensor]:
-    """Subtract every shorter period's scaled redundancy estimate.
+    """Subtract every shorter period's scaled redundancy estimate, by adding
+    its negation: IEEE negation is exact, so the bits are the subtraction's.
 
     blocks are ordered shortest to longest; block s loses
     sum_{j<s} eps_j / sqrt(d_k), so the shortest passes through untouched
@@ -120,13 +121,13 @@ def irf_filter(blocks: list[Tensor], epsilons: list[Tensor | None], d_k: int) ->
     When token counts differ (fixed-geometry ablation) the shorter estimate
     covers only its own token span and the remainder is left as is.
     """
-    scale = 1.0 / np.sqrt(d_k)
+    scale = -1.0 / np.sqrt(d_k)
     filtered = [blocks[0]]
     running: Tensor | None = None
     for s in range(1, len(blocks)):
         prev = scale * epsilons[s - 1]
         running = prev if running is None else _match_tokens(running, prev.shape[-1]) + prev
-        filtered.append(blocks[s] - _match_tokens(running, blocks[s].shape[-1]))
+        filtered.append(blocks[s] + _match_tokens(running, blocks[s].shape[-1]))
     return filtered
 
 
@@ -136,4 +137,4 @@ def _match_tokens(x: Tensor, n_tokens: int) -> Tensor:
     if have == n_tokens:
         return x
     pad = Tensor(np.zeros(x.shape[:-1] + (n_tokens - have,)))
-    return concat([x, pad], axis=-1)
+    return concat([x, pad])

@@ -158,14 +158,15 @@ def int_at_least(least: int) -> tuple:
 # section with it, and `load_checkpoint` a checkpoint's `meta.run.dataset`.
 # Every field that a reader of the section uses is here, so `cli.read_dataset`
 # takes its `format`, `synth.generate` its `synthetic` fields and
-# `split_dataset` its `split` fields as given.
+# `split_dataset` its `split` fields as given; `mlf synth-data` checks its
+# flags against the `synthetic` table.
 DATASET_FIELDS = {
     "path": ((lambda v: isinstance(v, str), "a string"),),
     "format": ((lambda v: v in ("generic", "fund"), "'generic' or 'fund'"),),
     "anchor_stride": (int_at_least(1),),
     "synthetic": {
         "kind": ((lambda v: isinstance(v, str) and v in synth.GENERATORS, f"one of {sorted(synth.GENERATORS)}"),),
-        "n_steps": (int_at_least(1),),
+        "n_steps": (int_at_least(2),),
         "n_channels": (int_at_least(1),),
         "seed": (int_at_least(0),),
     },

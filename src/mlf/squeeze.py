@@ -58,7 +58,7 @@ def concat_periods(squeezed: list[Tensor]) -> Tensor:
     """Join per-period token blocks, shortest period first, along the token axis."""
     if len(squeezed) == 1:
         return squeezed[0]
-    return concat(squeezed, axis=-1)
+    return concat(squeezed)
 
 
 def split_periods(tokens: Tensor, token_ranges: list[tuple[int, int]]) -> list[Tensor]:

@@ -451,13 +451,13 @@ def raw_file(path, blob):
          "--seeds must be >= 1, got 0"),
         ("usage", lambda tmp: ["ablate", config_file(tmp, "{}"), "--flags", "lwi", "--seeds", "-1"],
          "--seeds must be >= 1, got -1"),
-        ("usage", lambda tmp: ["synth-data", "--rows", "1", "--output", str(tmp / "s.csv")], "--rows must be >= 2, got 1"),
+        ("usage", lambda tmp: ["synth-data", "--rows", "1", "--output", str(tmp / "s.csv")], "--rows must be an integer >= 2, got 1"),
         ("usage", lambda tmp: ["synth-data", "--rows", "-5", "--output", str(tmp / "s.csv")],
-         "--rows must be >= 2, got -5"),
+         "--rows must be an integer >= 2, got -5"),
         ("usage", lambda tmp: ["synth-data", "--channels", "0", "--output", str(tmp / "s.csv")],
-         "--channels must be >= 1, got 0"),
+         "--channels must be an integer >= 1, got 0"),
         ("usage", lambda tmp: ["synth-data", "--seed", "-1", "--output", str(tmp / "s.csv")],
-         "--seed must be >= 0, got -1"),
+         "--seed must be an integer >= 0, got -1"),
         ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
         ("usage", lambda tmp: ["train", config_file(tmp, "{}"), "--output", ""],
          "--output must be a non-empty string, got ''"),
@@ -670,7 +670,9 @@ BAD_DATASET_SECTIONS = {
     "ratios-zero": ({"split": {"ratios": [0, 0, 0]}}, "dataset.split.ratios must be a list of 3 integers >= 0"),
     "scheme-unknown": ({"split": {"scheme": "month"}}, "dataset.split.scheme must be 'ratio' or 'ett', got 'month'"),
     "synthetic-int": ({"synthetic": 3}, "dataset.synthetic must be an object, got 3"),
-    "n-steps-text": ({"synthetic": {"n_steps": "x"}}, "dataset.synthetic.n_steps must be an integer >= 1, got 'x'"),
+    "n-steps-text": ({"synthetic": {"n_steps": "x"}}, "dataset.synthetic.n_steps must be an integer >= 2, got 'x'"),
+    # The floor of `synth-data --rows` and of the CSV reader: one row holds no window.
+    "n-steps-one": ({"synthetic": {"n_steps": 1}}, "dataset.synthetic.n_steps must be an integer >= 2, got 1"),
     "kind-unknown": ({"synthetic": {"kind": "wave"}}, "dataset.synthetic.kind must be one of ["),
     "stride-zero": ({"anchor_stride": 0}, "dataset.anchor_stride must be an integer >= 1, got 0"),
     "key-unknown": ({"anchr_stride": 5}, "dataset has unknown key(s): ['anchr_stride']"),

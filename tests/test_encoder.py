@@ -11,6 +11,7 @@ from mlf.autograd import (
     backward,
     concat,
     matmul,
+    mse,
     relu,
     softmax,
     transpose,
@@ -29,14 +30,14 @@ def store(seed=0):
 def test_attention_scores_are_convex_weights():
     # Rows of softmax scores applied to identical value rows reproduce them.
     rng = np.random.default_rng(0)
-    scores = softmax(Tensor(rng.standard_normal((1, 5, 5))), axis=-1)
+    scores = softmax(Tensor(rng.standard_normal((1, 5, 5))))
     value = np.tile(rng.standard_normal((1, 1, 3)), (1, 5, 1))
     out = matmul(scores, Tensor(value))
     assert np.allclose(out.data, value, atol=1e-12)
 
 
 def test_single_token_attention_is_identity_on_values():
-    scores = softmax(Tensor(np.random.default_rng(1).standard_normal((2, 1, 1))), axis=-1)
+    scores = softmax(Tensor(np.random.default_rng(1).standard_normal((2, 1, 1))))
     assert np.allclose(scores.data, 1.0)
 
 
@@ -88,10 +89,10 @@ def per_head_block(block, x, w_q, w_k, w_v):
     heads, scores = [], []
     for h in range(block.n_heads):
         q, k, v = (matmul(tokens, w[h]) for w in (w_q, w_k, w_v))  # (B, N, d_k)
-        s = softmax(scale * matmul(q, transpose(k)), axis=-1)
+        s = softmax(scale * matmul(q, transpose(k)))
         scores.append(s.data)
         heads.append(matmul(s, v))
-    merged = matmul(concat(heads, axis=-1), block.w_out)
+    merged = matmul(concat(heads), block.w_out)
     u = block.norm_attn(add(x, transpose(merged)), training=True)
     z = block.norm_ff(add(u, block.ff_out(relu(block.ff_in(u)))), training=True)
     return z, np.stack(scores)
@@ -177,8 +178,7 @@ def test_spp_forecast_gradient_matches_finite_differences():
 
     def f(w, b):
         fore, _ = head(block)
-        diff = fore - target
-        return mean_all(diff * diff)
+        return mse(fore, target)
 
     report = grad_check(f, [head.forecast.w, head.forecast.b])
     assert report.passed, str(report)
@@ -220,6 +220,35 @@ def test_irf_subtracts_all_shorter_periods():
     out = irf_filter(blocks, eps, d_k=4)
     assert out[1].data.reshape(()) == pytest.approx(10.0 - 4.0 / 2.0)
     assert out[2].data.reshape(()) == pytest.approx(10.0 - (4.0 + 8.0) / 2.0)
+
+
+def irf_reference(blocks, epsilons, d_k):
+    """irf_filter in plain numpy, with subtraction: block s minus the running
+    sum of the shorter periods' estimates scaled by 1/sqrt(d_k), each
+    estimate zero-padded on the token axis to the longer block."""
+    def pad(x, n_tokens):
+        return np.concatenate([x, np.zeros(x.shape[:-1] + (n_tokens - x.shape[-1],))], axis=-1)
+
+    scale = 1.0 / np.sqrt(d_k)
+    filtered, running = [blocks[0]], None
+    for s in range(1, len(blocks)):
+        prev = scale * epsilons[s - 1]
+        running = prev if running is None else pad(running, prev.shape[-1]) + prev
+        filtered.append(blocks[s] - pad(running, blocks[s].shape[-1]))
+    return filtered
+
+
+@pytest.mark.parametrize("tokens", [(4, 4, 4), (1, 2, 4)], ids=["equal", "wo-map"])
+def test_irf_filter_is_the_subtracting_reference_bit_for_bit(tokens):
+    # (1, 2, 4) are the desk `w/o map` block sizes, which go through _match_tokens.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((16, 8, n)) for n in tokens]
+        eps = [rng.standard_normal((16, 8, n)) for n in tokens[:-1]] + [None]
+        for d_k in (2, 3):
+            out = irf_filter([Tensor(b) for b in blocks], [e if e is None else Tensor(e) for e in eps], d_k)
+            for got, want in zip(out, irf_reference(blocks, eps, d_k)):
+                assert got.data.tobytes() == want.tobytes(), (seed, d_k)
 
 
 def test_irf_preserves_shapes_and_pads_unequal_blocks():

@@ -1,16 +1,15 @@
 """Bitwise parity of seeded outputs: prints one JSON line of SHA-256 digests.
 
-    python3 tools/parity.py
+    python3 tools/parity.py > parent.json           # in one tree
+    python3 tools/parity.py --against parent.json   # in another
 
-Run it from the root of one tree, then from the root of another (for example
-the parent commit exported with `git archive` into a temporary directory),
-and compare the two lines: equal lines mean that the two trees train, score,
+Run it from the root of one tree and save the line, then run it from the
+root of another (for example the parent commit exported with `git archive`
+into a temporary directory) with `--against` that file. It prints how many
+digests are equal and each key that differs, or is on one side only, and
+exits 1 on any difference: equal lines mean that the two trees train, score,
 save and forecast to the same bits. The `src` of the tree that holds this
-file is imported, whatever the working directory. To see which digests
-differ, save each line to a file and compare them key by key:
-
-    python3 -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]);
-    print(sum(a[k] == b[k] for k in a), "equal:", sorted(k for k in a if a[k] != b[k]))' a.json b.json
+file is imported, whatever the working directory.
 
 A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
 the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
@@ -36,6 +35,7 @@ the benchmark's restore check calls it; the `evaluate` predictions; and the
 step losses and final parameters of 3 more train steps run from that model.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -144,7 +144,10 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the seeded outputs of this tree.")
+    parser.add_argument("--against", metavar="FILE", help="a line saved from another tree to compare with")
+    args = parser.parse_args(argv)
     line = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cfg, make_data, flags) in CASES.items():
@@ -155,8 +158,18 @@ def main() -> None:
                 work.mkdir()
                 for key, value in run_case(variant_cfg, raw, work).items():
                     line[f"{name}/{variant}/{key}"] = value
-    print(json.dumps(line, sort_keys=True))
+    if args.against is None:
+        print(json.dumps(line, sort_keys=True))
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        saved = json.load(fh)
+    keys = line.keys() | saved.keys()
+    differ = sorted(k for k in keys if line.get(k) != saved.get(k))
+    print(f"{len(keys) - len(differ)} of {len(keys)} digests equal")
+    for key in differ:
+        print(f"differs: {key}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
