@@ -194,10 +194,12 @@ def cmd_train(args) -> int:
                 f"val loss {record.val_loss:.6f} ({record.seconds:.1f}s)"
             )
 
-        result = train(
-            model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=section.get("anchor_stride", 1)
-        )
-        test = evaluate(model, ds, split, "test", fund_style=section.get("format") == "fund")
+        # A non-finite loss is error[diverged], and non-finite predictions error[metric].
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(
+                model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=section.get("anchor_stride", 1)
+            )
+            test = evaluate(model, ds, split, "test", fund_style=section.get("format") == "fund")
         final = {
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,

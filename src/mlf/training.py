@@ -78,10 +78,11 @@ def train(
     """Minimize the forecast + reconstruction loss with Adam.
 
     Runs `config.epochs` epochs of shuffled mini-batches (optionally capped
-    at `config.max_steps` optimizer steps), tracks validation loss each
-    epoch, and finishes with the best-validation parameters loaded back into
-    the model. `anchor_stride` subsamples training anchors for desk-scale
-    runs on long series.
+    at `config.max_steps` optimizer steps), scores each epoch by the
+    normalized forecast MSE that `evaluate` reports on the validation split,
+    and finishes with the best epoch's parameters loaded back into the model.
+    `anchor_stride` subsamples training anchors for desk-scale runs on long
+    series.
     """
     cfg = model.config
     _, shuffle_rng = seed_streams(seed)
@@ -96,6 +97,7 @@ def train(
     best_val = float("inf")
     best_epoch = -1
     best_state = model.state_arrays()
+    has_val = sample_index(ds, split.val, cfg)[0].size > 0
     step = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -121,7 +123,7 @@ def train(
                 clip_global_norm(model.params, cfg.grad_clip)
             optimizer.step()
             step += 1
-        val_loss = validation_loss(model, ds, split, cfg)
+        val_loss = evaluate(model, ds, split, "val").report_normalized.mse if has_val else float("nan")
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / order.size,
@@ -141,19 +143,6 @@ def train(
 
     model.load_state_arrays(best_state)
     return TrainResult(records, step_losses, best_epoch, best_val, step)
-
-
-def validation_loss(model: MlfModel, ds: SeriesDataset, split: SplitRanges, cfg: MlfConfig) -> float:
-    channels, anchors = sample_index(ds, split.val, cfg)
-    if channels.size == 0:
-        return float("nan")
-    total = 0.0
-    for _, windows, targets in batches(ds, cfg, channels, anchors):
-        bundle = model.forward(windows, training=False)
-        loss = mlf_loss(bundle, targets, use_reconstruction=cfg.use_reconstruction_loss)
-        total += float(loss.total.data) * targets.shape[0]
-        del bundle, loss  # the next forward runs without this batch
-    return total / channels.size
 
 
 @dataclass

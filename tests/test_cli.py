@@ -139,6 +139,12 @@ def test_eval_matches_train_log(trained, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "eval", str(out_dir / "checkpoint.mlfckpt"), "--data", str(data_csv))
     assert code == 0, err
     assert json.loads(stdout) == final["test"]
+    # The kept epoch's validation score is what `eval` reports on that split.
+    code, stdout, err = run_cli(
+        capsys, "eval", str(out_dir / "checkpoint.mlfckpt"), "--data", str(data_csv), "--split", "val"
+    )
+    assert code == 0, err
+    assert json.loads(stdout)["normalized"]["mse"] == final["best_val_loss"]
 
 
 def test_eval_attention_export_shape(trained, tmp_path, capsys):
@@ -595,6 +601,16 @@ def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_p
     assert code == 1
     assert err == "error[metric]: predictions hold NaN or Inf\n"
     assert out == "" and not out_csv.exists()
+
+
+def test_a_diverging_run_prints_one_stderr_line_when_run_as_a_program(toy_run):
+    """In its own process, where numpy prints its warnings; under pytest they raise instead."""
+    path, out_dir = toy_run
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONWARNINGS="default")
+    argv = [sys.executable, "-m", "mlf.cli", "train", str(path), "--set", "model.learning_rate=1e300"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "error[diverged]: non-finite training loss at step 1\n")
+    assert done.stdout == "" and not (out_dir / "checkpoint.mlfckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "forecast"])

@@ -25,14 +25,19 @@ and the paper-default config on 7-channel seasonal data, as base and
 takes about 12 s on a 2-core VM with one BLAS thread. For each case it
 digests the raw gradients of one `backward` on the first training batch of
 the freshly built model (before clipping and Adam), the train step losses,
-the epoch train and validation losses, `validation_loss` after training, the
-`evaluate` predictions, LWI weight mean and attention mean, the checkpoint
-bytes, and the CSV bytes that `mlf forecast` writes from that checkpoint.
+the epoch train and validation losses, `validation_loss`, the `evaluate`
+predictions, LWI weight mean and attention mean, the checkpoint bytes, and
+the CSV bytes that `mlf forecast` writes from that checkpoint.
 The restore path gets its own digests, all of the model that
 `cli.restore_model(load_checkpoint(...))` returns: the forecast of a bare
 `forward(training=False)` on the first test batch, called with no wrapper as
 the benchmark's restore check calls it; the `evaluate` predictions; and the
 step losses and final parameters of 3 more train steps run from that model.
+
+`validation_loss` digests the normalized MSE that `evaluate` reports on the
+validation split after training, the number `train` selects its epoch by. The
+key keeps the name of the function it once digested, so that `--against`
+pairs it with lines saved from older trees.
 """
 
 import argparse
@@ -105,7 +110,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     gradients = first_batch_gradients(cfg, ds, split)
     model = build_model(cfg, seed=SEED)
     result = training.train(model, ds, split, seed=SEED)
-    val = training.validation_loss(model, ds, split, cfg)
+    val = training.evaluate(model, ds, split, "val").report_normalized.mse
     ev = training.evaluate(model, ds, split, "test", collect_attention=True)
 
     ckpt = work / "model.mlfckpt"
