@@ -21,6 +21,17 @@ broadcasting, softmax and concat over the last axis, transpose of the last
 two, narrow, reshape, tanh/sigmoid/relu, LWI's 1-d convolution, batch norm,
 1-d max pooling, the mean over a list of tensors, and mean-squared error.
 
+Primitives take Tensors; only Tensor's operators lift a raw scalar or array.
+They trust the shapes the model fixed when it was built (conv1d's kernel
+and channels, batch norm's (C,) parameters, a pooled length of at least 2)
+and leave a mismatch numpy notices to numpy's own error. The checks that
+stay prevent a silent wrong result or an unnoticed misuse: conv1d refuses an
+input that requires grad (it computes no input gradient), matmul refuses an
+operand below 2-D (numpy would take it as a vector), mse refuses unequal
+shapes (numpy would broadcast), narrow refuses a range past the axis (numpy
+would clip the slice), and backward refuses a non-scalar loss, a loss that
+needs no gradient and a graph it has already walked.
+
 No primitive checks its output for NaN or Inf. Non-finite numbers are stopped
 where they enter: CSV cells, run-config fields and checkpoint tensors are
 checked when they are read.
@@ -167,7 +178,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     data = a.data + b.data
     a_shape, b_shape = a.shape, b.shape
 
@@ -178,7 +188,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     data = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     # da reads only b, and db only a.
@@ -203,11 +212,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     dimensions, leading axes broadcast. dC flows back as dA = dC.Bt and
     dB = At.dC, summed over broadcast axes.
     """
-    a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     # dA reads only B, and dB only A.
@@ -242,7 +248,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=-1)
     splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
@@ -332,7 +337,6 @@ def average(tensors) -> Tensor:
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over all elements; gradient is 2*(pred-target)/count."""
-    pred, target = _lift(pred), _lift(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
@@ -359,14 +363,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """
     if x.requires_grad:
         raise ValueError("conv1d computes no input gradient, but its input requires grad")
-    if x.ndim != 3 or weight.ndim != 3:
-        raise ShapeError(f"conv1d expects (B,C,T) input and (F,C,k) weight, got {x.shape}, {weight.shape}")
-    batch, c_in, t = x.shape
-    f, c_w, k = weight.shape
-    if c_in != c_w:
-        raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs weight {weight.shape}")
-    if k % 2 == 0:
-        raise ShapeError(f"conv1d kernel size must be odd, got {k}")
+    batch, _, t = x.shape
+    f, _, k = weight.shape
     pad = (k - 1) // 2
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     w_data = weight.data
@@ -400,11 +398,6 @@ def batch_norm(
     estimates in place, with momentum BN_MOMENTUM; inference mode uses the
     running estimates. gamma/beta have shape (C,).
     """
-    if x.ndim != 3:
-        raise ShapeError(f"batch_norm expects (B,C,T) input, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batch_norm parameter shape mismatch: C={c}, gamma {gamma.shape}, beta {beta.shape}")
     axes = (0, 2)
     g_col = gamma.data[None, :, None]
 
@@ -442,11 +435,7 @@ def batch_norm(
 
 def max_pool1d(x: Tensor) -> Tensor:
     """Max pooling over the last axis with kernel and stride 2."""
-    if x.ndim != 3:
-        raise ShapeError(f"max_pool1d expects (B,C,T) input, got {x.shape}")
     batch, c, t = x.shape
-    if t < 2:
-        raise ShapeError(f"max_pool1d needs T >= 2, got T={t}")
     t_out = t // 2
     left, right = x.data[:, :, 0 : 2 * t_out : 2], x.data[:, :, 1 : 2 * t_out : 2]
     # argmax's pick of each pair: the right one wins only when the left is not

@@ -65,22 +65,18 @@ def compute_metrics(
 ) -> MetricsReport:
     """Aggregate metrics for stacked (n_samples, horizon) forecasts.
 
-    `channels` gives each row's channel id. With `sum_wmape_channels` the
-    WMAPE is computed per channel and summed (the fund-sales convention of
-    reporting the two transaction variables jointly); otherwise it pools
-    every value.
+    `units` is "normalized" or "original". `channels` gives each row's
+    channel id, and `sum_wmape_channels` needs it: the WMAPE is then computed
+    per channel and summed (the fund-sales convention of reporting the two
+    transaction variables jointly); otherwise it pools every value. Its one
+    caller is `evaluate`; besides the shape match, it checks only that the
+    predictions are finite.
     """
     pred, target = _aligned(pred, target)
-    if pred.ndim != 2:
-        raise MetricError(f"expected (n_samples, horizon) arrays, got shape {pred.shape}")
-    if units not in ("normalized", "original"):
-        raise MetricError(f"units must be 'normalized' or 'original', got {units!r}")
     if not np.isfinite(pred).all():
         raise MetricError("predictions hold NaN or Inf")
     try:
         if sum_wmape_channels:
-            if channels is None:
-                raise MetricError("per-channel WMAPE needs channel ids")
             total = 0.0
             for c in np.unique(channels):
                 rows = channels == c

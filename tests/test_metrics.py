@@ -72,11 +72,6 @@ def test_sum_wmape_over_channels():
     assert pooled.wmape == pytest.approx(20.0)
 
 
-def test_units_flag_is_validated():
-    with pytest.raises(MetricError, match="units"):
-        compute_metrics(np.zeros((1, 1)), np.zeros((1, 1)), units="fahrenheit")
-
-
 def test_naive_repeat_last():
     hist = np.array([[1.0, 2.0, 7.0], [0.0, 0.0, -3.0]])
     naive = naive_repeat_last(hist, 4)

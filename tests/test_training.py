@@ -10,7 +10,7 @@ from mlf import autograd, cli
 from mlf.checkpoint import Checkpoint, save_checkpoint
 from mlf.data import DataError, SplitRanges, split_dataset, standardize
 from mlf.metrics import MetricError
-from mlf.model import MlfModel, build_model
+from mlf.model import MlfConfig, MlfModel, build_model
 from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, batches, evaluate, train, sample_index
 from mlf.data import gather_batch
@@ -189,6 +189,31 @@ def test_a_split_without_windows_is_a_data_error(tiny_config, tiny_dataset):
     no_train = SplitRanges((0, 0), (0, 80), (80, 160))
     with pytest.raises(DataError, match="train split has no complete windows"):
         train(model, ds, no_train, seed=0)
+
+
+def test_the_smallest_valid_config_trains_and_forecasts():
+    # The engine trusts the shapes the config fixes; the smallest config that
+    # validation admits (longest period 2, one pooled LWI position) must run.
+    cfg = MlfConfig(
+        period_lengths=(2,),
+        horizon=1,
+        n_patches=2,
+        squeeze_factor=1,
+        d_model=1,
+        n_heads=1,
+        n_blocks=1,
+        conv_filters=1,
+        batch_size=8,
+        epochs=1,
+    )
+    raw = regime_switching(120, 1, seed=0)
+    split = split_dataset(raw, "ratio", min_history=2, horizon=1)
+    ds = standardize(raw, split)
+    model = build_model(cfg, seed=0)
+    assert train(model, ds, split, seed=0).steps == 11
+    result = evaluate(model, ds, split, "test")
+    assert result.predictions.shape == (24, 1)
+    assert np.isfinite(result.predictions).all()
 
 
 def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset):
