@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import synth
-from .ablation import ablate
+from .ablation import ablate, table
 from .autograd import ShapeError
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
@@ -40,8 +40,6 @@ from .data import (
 from .metrics import MetricError
 from .model import DATASET_FIELDS, ConfigError, MlfConfig, MlfModel, build_model, check_section, int_at_least
 from .training import DivergenceError, evaluate, train
-
-OUTPUT_DIR_ENV = "MLF_OUTPUT_DIR"
 
 CHECKPOINT_FILE = "checkpoint.mlfckpt"
 LOG_FILE = "train_log.jsonl"
@@ -84,9 +82,6 @@ def load_run_config(path: str, overrides: list[str], seed: int | None, output: s
     for key, flag, value in (("seed", "--seed", seed), ("output_dir", "--output", output)):
         if value is not None:
             raw[key] = check_flag(flag, value, RUN_FIELDS[key])
-    env_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if env_dir:
-        raw["output_dir"] = env_dir
     return raw
 
 
@@ -122,9 +117,11 @@ def read_dataset(path: str, section: dict) -> SeriesDataset:
     return load_fund_csv(path) if section.get("format") == "fund" else load_csv(path)
 
 
-def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
-    """The dataset of a run config that `load_run_config` checked, and its
-    `dataset` section."""
+def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
+    """Config, standardized dataset, split, dataset section, and the
+    `data_record` of the values before standardization, of a run config that
+    `load_run_config` checked."""
+    cfg = MlfConfig.from_dict(raw.get("model"))
     if "dataset" not in raw:
         raise ConfigError("missing required config section: dataset")
     section = raw["dataset"]
@@ -138,14 +135,6 @@ def load_dataset_from(raw: dict) -> tuple[SeriesDataset, dict]:
         ds = read_dataset(section["path"], section)
     else:
         raise ConfigError("dataset section needs either 'path' or 'synthetic'")
-    return ds, section
-
-
-def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
-    """Config, standardized dataset, split, dataset section, and the
-    `data_record` of the values before standardization."""
-    cfg = MlfConfig.from_dict(raw.get("model"))
-    ds, section = load_dataset_from(raw)
     split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     record = data_record(ds)
     ds = standardize(ds, split)
@@ -166,6 +155,8 @@ def json_text(record, **kwargs) -> str:
 
 
 def write_resolved_config(out_dir: str, raw: dict) -> None:
+    """Create `out_dir` and write the run config's snapshot into it."""
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, RESOLVED_CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -178,7 +169,6 @@ def cmd_train(args) -> int:
     raw = load_run_config(args.config, args.set, args.seed, args.output)
     cfg, ds, split, section, record = prepare(raw)
     out_dir = raw["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     write_resolved_config(out_dir, raw)
     seed = int(raw["seed"])
     model = build_model(cfg, seed=seed)
@@ -346,18 +336,16 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    check_flag("--seeds", args.seeds, (int_at_least(1),))
     raw = load_run_config(args.config, args.set, args.seed, args.output)
     cfg, ds, split, section, _record = prepare(raw)
     seeds = range(raw["seed"], raw["seed"] + args.seeds)
-    report = ablate(ds, split, cfg, args.flags.split(","), seeds=seeds, anchor_stride=section.get("anchor_stride", 1))
+    rows = ablate(ds, split, cfg, args.flags.split(","), seeds=seeds, anchor_stride=section.get("anchor_stride", 1))
     out_dir = raw["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     write_resolved_config(out_dir, raw)
     with open(os.path.join(out_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    print(report.table())
+        json.dump({"rows": rows}, fh, indent=2)
+    print(table(rows))
     return 0
 
 
@@ -423,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config field")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None, help="output directory (env MLF_OUTPUT_DIR overrides)")
+    p.add_argument("--output", default=None, help="output directory")
 
 
 ERROR_CODES = {

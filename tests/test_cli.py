@@ -335,15 +335,25 @@ def test_eval_rejects_data_the_checkpoint_was_not_trained_on(rows, trained, tmp_
 def test_ablate_rows_and_dedup(toy_run, capsys):
     path, out_dir = toy_run
     code, stdout, err = run_cli(
-        capsys, "ablate", str(path), "--flags", "irf,lwi,irf", "--seeds", "2",
+        capsys, "ablate", str(path), "--flags", "irf, lwi,,irf", "--seeds", "2",
         "--set", "model.epochs=1",
     )
     assert code == 0, err
     report = read_json(out_dir / "ablation.json")
     labels = [r["variant"] for r in report["rows"]]
     assert labels == ["base", "w/o irf", "w/o lwi"]  # deduplicated, base first
-    assert all(len(r["mse_per_seed"]) == 2 for r in report["rows"])
-    assert "variant" in stdout and "w/o irf" in stdout
+    keys = ["variant", "mse_mean", "mse_std", "mae_mean", "mae_std", "mse_per_seed", "mae_per_seed"]
+    width = len("w/o irf")
+    lines = [f"{'variant'.ljust(width)}  {'MSE':>18}  {'MAE':>18}"]
+    for r in report["rows"]:
+        assert list(r) == keys
+        assert len(r["mse_per_seed"]) == len(r["mae_per_seed"]) == 2
+        for metric in ("mse", "mae"):
+            per_seed = r[f"{metric}_per_seed"]
+            assert r[f"{metric}_mean"] == np.mean(per_seed) and r[f"{metric}_std"] == np.std(per_seed)
+        lines.append(f"{r['variant'].ljust(width)}  {r['mse_mean']:>10.6f} ±{r['mse_std']:<6.4f}  "
+                     f"{r['mae_mean']:>10.6f} ±{r['mae_std']:<6.4f}")
+    assert stdout == "\n".join(lines) + "\n"
 
 
 def test_ablate_runs_the_seeds_and_anchor_stride_of_the_run_config(toy_run, tmp_path, capsys):
@@ -377,6 +387,17 @@ def test_a_loss_that_is_not_finite_is_logged_as_null(toy_run, capsys, override, 
     assert final["best_val_loss"] is None and final["test"]["normalized"]["mse"] >= 0.0
 
 
+def test_set_takes_a_dataset_path_without_json_quotes(tmp_path, capsys):
+    # A bare path is not JSON, so `--set` keeps it as text.
+    data_csv = write_history(tmp_path / "d.csv", 160)
+    config = dataset_config(tmp_path, {})
+    code, _, err = run_cli(capsys, "train", config, "--set", f"dataset.path={data_csv}", "--set", "model.epochs=1")
+    assert code == 0, err
+    assert read_json(tmp_path / "out" / "resolved_config.json")["dataset"] == {"path": data_csv}
+    record = load_checkpoint(str(tmp_path / "out" / "checkpoint.mlfckpt")).meta["data"]
+    assert record == cli.data_record(cli.read_dataset(data_csv, {}))
+
+
 def test_set_overrides_fields(toy_run, capsys):
     path, out_dir = toy_run
     code, _, err = run_cli(capsys, "train", str(path), "--set", "model.epochs=1", "--seed", "11")
@@ -386,15 +407,6 @@ def test_set_overrides_fields(toy_run, capsys):
     assert resolved["seed"] == 11
     log_lines = read_jsonl(out_dir / "train_log.jsonl")
     assert sum(1 for rec in log_lines if "epoch" in rec) == 1
-
-
-def test_output_dir_env_override(toy_run, capsys, tmp_path, monkeypatch):
-    path, _ = toy_run
-    env_dir = tmp_path / "env_out"
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
-    code, _, err = run_cli(capsys, "train", str(path), "--set", "model.epochs=1")
-    assert code == 0, err
-    assert (env_dir / "checkpoint.mlfckpt").exists()
 
 
 def test_retrain_from_snapshot_reproduces_checkpoint(trained, tmp_path, capsys):
@@ -430,6 +442,11 @@ def raw_file(path, blob):
     return str(path)
 
 
+def dataset_config(tmp_path, dataset):
+    """A toy run config with the given `dataset` section, writing into `tmp_path`."""
+    return config_file(tmp_path, json.dumps({"model": TOY_MODEL, "dataset": dataset, "output_dir": str(tmp_path / "out")}))
+
+
 @pytest.mark.parametrize(
     "code, argv, needle",
     [
@@ -454,9 +471,9 @@ def raw_file(path, blob):
                               "--data", write_history(tmp / "d.csv", 6)],
          "need at least 8 history rows, file has 6"),
         ("usage", lambda tmp: ["ablate", config_file(tmp, "{}"), "--flags", "lwi", "--seeds", "0"],
-         "--seeds must be >= 1, got 0"),
+         "--seeds must be an integer >= 1, got 0"),
         ("usage", lambda tmp: ["ablate", config_file(tmp, "{}"), "--flags", "lwi", "--seeds", "-1"],
-         "--seeds must be >= 1, got -1"),
+         "--seeds must be an integer >= 1, got -1"),
         ("usage", lambda tmp: ["synth-data", "--rows", "1", "--output", str(tmp / "s.csv")], "--rows must be an integer >= 2, got 1"),
         ("usage", lambda tmp: ["synth-data", "--rows", "-5", "--output", str(tmp / "s.csv")],
          "--rows must be an integer >= 2, got -5"),
@@ -494,6 +511,16 @@ def raw_file(path, blob):
         ("io", lambda tmp: ["eval", save_toy_checkpoint(tmp / "m.ckpt", TOY_NORM),
                             "--data", write_history(tmp / "d.csv", 160),
                             "--export-attention", str(tmp / "absent" / "a.csv")], "No such file or directory"),
+        ("checkpoint", lambda tmp: ["forecast", str(tmp / "absent.ckpt"), "--data", write_history(tmp / "d.csv")],
+         "cannot open checkpoint"),
+        ("checkpoint", lambda tmp: ["forecast", raw_file(tmp / "m.ckpt", b"MLFCKPT1" + (3).to_bytes(8, "little") + b"[1]"),
+                                    "--data", write_history(tmp / "d.csv")], "corrupt header: not a JSON object"),
+        ("data", lambda tmp: ["train", dataset_config(tmp, {"path": raw_file(tmp / "d.csv", b"")})], "empty file"),
+        ("data", lambda tmp: ["train", dataset_config(tmp, {"path": raw_file(tmp / "d.csv", b"date\n2020-01-01\n")})],
+         "need a date column plus at least one value column"),
+        ("data", lambda tmp: ["train", dataset_config(tmp, {"path": write_history(tmp / "d.csv"), "format": "fund"})],
+         "value columns not found: ['apply_amt', 'redeem_amt']"),
+        ("config", lambda tmp: ["train", dataset_config(tmp, {})], "dataset section needs either 'path' or 'synthetic'"),
     ],
     ids=["io", "config-json", "config-object", "config-set-path", "config-top-level-key", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
@@ -501,7 +528,8 @@ def raw_file(path, blob):
          "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
          "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
          "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic",
-         "config-dataset-format-without-path", "io-export-path"],
+         "config-dataset-format-without-path", "io-export-path", "checkpoint-missing", "checkpoint-header-not-object",
+         "data-empty-file", "data-date-column-only", "data-fund-columns-missing", "config-dataset-empty"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))

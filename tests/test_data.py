@@ -31,6 +31,14 @@ def test_load_csv_preserves_order(tmp_path):
     assert ds.timestamps[0] == "2020-01-01"
 
 
+def test_load_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "blanks.csv"
+    write_lines(path, ["date,a,b", "", "2020-01-01,1,4", " , ", "2020-01-02,2,5", "", "2020-01-03,3,6", ","])
+    ds = load_csv(str(path))
+    assert np.array_equal(ds.values, [[1, 4], [2, 5], [3, 6]])
+    assert ds.timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
+
+
 def test_load_csv_header_only_is_error(tmp_path):
     path = tmp_path / "empty.csv"
     write_lines(path, ["date,a"])

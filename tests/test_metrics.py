@@ -39,6 +39,17 @@ def test_wmape_zero_denominator_is_error():
         wmape(np.array([1.0, 3.0]), np.array([0.0, 0.0]))
 
 
+def test_all_zero_targets_report_no_wmape():
+    pred = np.array([[1.0, 3.0], [0.0, 2.0]])
+    target = np.zeros((2, 2))
+    for channels in (None, np.array([0, 1])):
+        report = compute_metrics(
+            pred, target, units="normalized", channels=channels, sum_wmape_channels=channels is not None
+        )
+        assert report.wmape is None
+        assert report.mse == pytest.approx(14.0 / 4.0) and report.mae == pytest.approx(6.0 / 4.0)
+
+
 def test_shape_mismatch_is_error():
     with pytest.raises(MetricError, match="shape"):
         mse(np.zeros(3), np.zeros(4))
