@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(fn=cmd_ablate)
 
     p_synth = sub.add_parser("synth-data", help="write a synthetic dataset CSV")
-    p_synth.add_argument("--kind", choices=sorted(synth.GENERATORS))
+    p_synth.add_argument("--kind", help=f"one of {sorted(synth.GENERATORS)}")
     p_synth.add_argument("--rows", dest="n_steps", type=int)
     p_synth.add_argument("--channels", dest="n_channels", type=int)
     p_synth.add_argument("--seed", type=int)

@@ -32,7 +32,12 @@ class Normalization:
     std: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a DataError
+            out = (values - self.mean) / self.std
+        if not np.isfinite(out).all():
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist()
+            raise DataError(f"values overflow when normalized, in channel index(es) {bad}")
+        return out
 
     def invert(self, values: np.ndarray, channels: np.ndarray) -> np.ndarray:
         """Map (n, m) model-space rows back to original units; row i belongs
@@ -184,16 +189,17 @@ def standardize(ds: SeriesDataset, split: SplitRanges) -> SeriesDataset:
     """Normalize every channel by its train-range mean/std.
 
     Returns a new dataset; the statistics are retained for the inverse
-    transform. A constant train-range channel is an error.
+    transform. A constant train-range channel, or one whose statistics
+    overflow, is an error.
     """
     lo, hi = split.train
     train = ds.values[lo:hi]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    flat = np.nonzero(std < 1e-12)[0]
-    if flat.size:
-        names = [ds.channel_names[i] for i in flat]
-        raise DataError(f"constant channel(s) on the train split: {names}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a DataError
+        mean, std = train.mean(axis=0), train.std(axis=0)
+    for bad, message in ((~(np.isfinite(mean) & np.isfinite(std)), "train-split mean or std overflows for channel(s)"),
+                         (std < 1e-12, "constant channel(s) on the train split")):
+        if bad.any():
+            raise DataError(f"{message}: {[ds.channel_names[i] for i in np.flatnonzero(bad)]}")
     norm = Normalization(mean, std)
     return replace(ds, values=norm.apply(ds.values), norm=norm)
 

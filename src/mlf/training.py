@@ -13,7 +13,7 @@ import numpy as np
 
 from .autograd import backward
 from .data import DataError, SeriesDataset, SplitRanges, gather_batch, window_anchors
-from .metrics import MetricsReport, compute_metrics, naive_repeat_last
+from .metrics import MetricsReport, compute_metrics
 from .model import ConfigError, MlfConfig, MlfModel, mlf_loss, seed_streams
 from .optim import Adam, clip_global_norm
 
@@ -217,8 +217,8 @@ def evaluate(
         channels=channels,
         sum_wmape_channels=fund_style,
     )
-    lasts = ds.values[anchors - 1, channels][:, None]  # each history's final value
-    naive_report = compute_metrics(naive_repeat_last(lasts, cfg.horizon), targets, units="normalized")
+    naive = np.repeat(ds.values[anchors - 1, channels][:, None], cfg.horizon, axis=1)  # each history's last value
+    naive_report = compute_metrics(naive, targets, units="normalized")
 
     return EvalResult(
         split=split_name,

@@ -442,6 +442,12 @@ def raw_file(path, blob):
     return str(path)
 
 
+def overflowing_csv(path):
+    """160 rows of one channel `x` alternating +-1.5e308: finite cells whose train-split mean overflows."""
+    return raw_file(path, b"date,x\n" + b"".join(b"%d,%s\n" % (i, b"-1.5e+308" if i % 2 else b"1.5e+308")
+                                                    for i in range(160)))
+
+
 def dataset_config(tmp_path, dataset):
     """A toy run config with the given `dataset` section, writing into `tmp_path`."""
     return config_file(tmp_path, json.dumps({"model": TOY_MODEL, "dataset": dataset, "output_dir": str(tmp_path / "out")}))
@@ -521,6 +527,13 @@ def dataset_config(tmp_path, dataset):
         ("data", lambda tmp: ["train", dataset_config(tmp, {"path": write_history(tmp / "d.csv"), "format": "fund"})],
          "value columns not found: ['apply_amt', 'redeem_amt']"),
         ("config", lambda tmp: ["train", dataset_config(tmp, {})], "dataset section needs either 'path' or 'synthetic'"),
+        ("data", lambda tmp: ["train", dataset_config(tmp, {"path": overflowing_csv(tmp / "d.csv")})],
+         "train-split mean or std overflows for channel(s): ['x']"),
+        ("data", lambda tmp: ["forecast", save_toy_checkpoint(tmp / "m.ckpt", dict(TOY_NORM, std=[0.07])),
+                              "--data", write_history(tmp / "d.csv", cell="1.7e+308")],
+         "values overflow when normalized, in channel index(es) [0]"),
+        ("usage", lambda tmp: ["synth-data", "--kind", "foo", "--output", str(tmp / "s.csv")],
+         "--kind must be one of ['ett', 'regime-switch', 'trend'], got 'foo'"),
     ],
     ids=["io", "config-json", "config-object", "config-set-path", "config-top-level-key", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
@@ -529,7 +542,8 @@ def dataset_config(tmp_path, dataset):
          "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
          "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic",
          "config-dataset-format-without-path", "io-export-path", "checkpoint-missing", "checkpoint-header-not-object",
-         "data-empty-file", "data-date-column-only", "data-fund-columns-missing", "config-dataset-empty"],
+         "data-empty-file", "data-date-column-only", "data-fund-columns-missing", "config-dataset-empty",
+         "data-train-stats-overflow", "data-normalized-overflow", "usage-synth-kind-unknown"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -639,6 +653,15 @@ def test_a_diverging_run_prints_one_stderr_line_when_run_as_a_program(toy_run):
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr) == (1, "error[diverged]: non-finite training loss at step 1\n")
     assert done.stdout == "" and not (out_dir / "checkpoint.mlfckpt").exists()
+
+
+def test_data_that_overflows_when_normalized_prints_one_stderr_line_when_run_as_a_program(tmp_path):
+    """In its own process, where numpy prints its warnings; under pytest they raise instead."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONWARNINGS="default")
+    argv = [sys.executable, "-m", "mlf.cli", "train", dataset_config(tmp_path, {"path": overflowing_csv(tmp_path / "d.csv")})]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "error[data]: train-split mean or std overflows for channel(s): ['x']\n")
+    assert done.stdout == "" and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "forecast"])

@@ -1,18 +1,78 @@
-"""Hand-arithmetic metric cases and the consistency-statistic analysis."""
+"""Hand-arithmetic metric cases, an oracle for the one-pass scorer, and the
+consistency-statistic analysis."""
 
 import numpy as np
 import pytest
 
-from mlf.metrics import (
-    MetricError,
-    compute_metrics,
-    kappa,
-    kappa_by_best_period,
-    mae,
-    mse,
-    naive_repeat_last,
-    wmape,
-)
+from mlf.metrics import MetricError, compute_metrics
+
+from kappa import kappa, kappa_by_best_period
+
+
+# The reference: one metric per call, each converting and subtracting again,
+# as `compute_metrics` once scored. The scorer must match it bit for bit.
+def reference_mse(pred, target):
+    return float(np.mean((pred - target) ** 2))
+
+
+def reference_mae(pred, target):
+    return float(np.mean(np.abs(pred - target)))
+
+
+def reference_wmape(pred, target):
+    denom = float(np.sum(np.abs(target)))
+    if denom == 0.0:
+        raise MetricError("WMAPE undefined: sum of |target| is zero")
+    return 100.0 * float(np.sum(np.abs(target - pred))) / denom
+
+
+def reference_report(pred, target, units, channels=None, sum_wmape_channels=False):
+    try:
+        if sum_wmape_channels:
+            wmape = 0.0
+            for c in np.unique(channels):
+                rows = channels == c
+                wmape += reference_wmape(pred[rows], target[rows])
+        else:
+            wmape = reference_wmape(pred, target)
+    except MetricError:
+        wmape = None
+    return {
+        "units": units,
+        "mse": reference_mse(pred, target),
+        "mae": reference_mae(pred, target),
+        "wmape": wmape,
+        "per_horizon": [
+            {"step": h + 1, "mse": reference_mse(pred[:, h], target[:, h]), "mae": reference_mae(pred[:, h], target[:, h])}
+            for h in range(pred.shape[1])
+        ],
+        "n_samples": pred.shape[0],
+    }
+
+
+def seeded_case(seed):
+    """Forecasts of a seeded shape, scale and channel grouping; some cases
+    zero every target or one channel's targets."""
+    rng = np.random.default_rng(seed)
+    n, horizon = int(rng.integers(1, 700)), int(rng.integers(1, 30))
+    scale = 10.0 ** rng.uniform(-4, 8)
+    target = rng.normal(rng.normal(0.0, 3.0), 1.0, (n, horizon)) * scale
+    pred = target + rng.normal(0.0, rng.uniform(0.01, 2.0), (n, horizon)) * scale
+    channels = rng.integers(0, int(rng.integers(1, 5)), n)
+    if seed % 7 == 0:
+        target[:] = 0.0
+    elif seed % 5 == 0:
+        target[channels == channels[0]] = 0.0
+    return pred, target, channels
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_reports_equal_the_reference_bit_for_bit(chunk):
+    for seed in range(chunk * 100, (chunk + 1) * 100):
+        pred, target, channels = seeded_case(seed)
+        for units, grouping in (("normalized", {}), ("original", {"channels": channels, "sum_wmape_channels": True})):
+            report = compute_metrics(pred, target, units=units, **grouping)
+            assert report.to_dict() == reference_report(pred, target, units, **grouping), seed
 
 
 def test_perfect_forecast_is_zero_everywhere():
@@ -22,21 +82,16 @@ def test_perfect_forecast_is_zero_everywhere():
 
 
 def test_wmape_hand_case():
-    y = np.array([10.0, 20.0, 30.0])
-    yhat = np.array([12.0, 18.0, 33.0])
-    assert wmape(yhat, y) == pytest.approx(100.0 * 7.0 / 60.0)
+    y = np.array([[10.0, 20.0, 30.0]])
+    yhat = np.array([[12.0, 18.0, 33.0]])
+    assert compute_metrics(yhat, y, units="original").wmape == pytest.approx(100.0 * 7.0 / 60.0)
 
 
 def test_mse_mae_hand_case():
-    y = np.array([0.0, 2.0])
-    yhat = np.array([1.0, 3.0])
-    assert mse(yhat, y) == 1.0
-    assert mae(yhat, y) == 1.0
-
-
-def test_wmape_zero_denominator_is_error():
-    with pytest.raises(MetricError, match="WMAPE undefined"):
-        wmape(np.array([1.0, 3.0]), np.array([0.0, 0.0]))
+    y = np.array([[0.0, 2.0]])
+    yhat = np.array([[1.0, 3.0]])
+    report = compute_metrics(yhat, y, units="normalized")
+    assert report.mse == 1.0 and report.mae == 1.0
 
 
 def test_all_zero_targets_report_no_wmape():
@@ -52,7 +107,7 @@ def test_all_zero_targets_report_no_wmape():
 
 def test_shape_mismatch_is_error():
     with pytest.raises(MetricError, match="shape"):
-        mse(np.zeros(3), np.zeros(4))
+        compute_metrics(np.zeros((1, 3)), np.zeros((1, 4)), units="normalized")
 
 
 def test_kappa_hand_cases():
@@ -81,13 +136,6 @@ def test_sum_wmape_over_channels():
     assert report.wmape == pytest.approx(20.0 + 20.0)
     pooled = compute_metrics(pred, target, units="original")
     assert pooled.wmape == pytest.approx(20.0)
-
-
-def test_naive_repeat_last():
-    hist = np.array([[1.0, 2.0, 7.0], [0.0, 0.0, -3.0]])
-    naive = naive_repeat_last(hist, 4)
-    assert naive.shape == (2, 4)
-    assert (naive[0] == 7.0).all() and (naive[1] == -3.0).all()
 
 
 def test_kappa_partition_bookkeeping():

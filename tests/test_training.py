@@ -172,6 +172,9 @@ def test_evaluate_reports_both_units(tiny_config, tiny_dataset):
     assert result.report_original.units == "original"
     assert result.naive_normalized.units == "normalized"
     assert result.naive_normalized.n_samples == result.report_normalized.n_samples
+    # The baseline repeats each window's last value across the horizon.
+    lasts = np.array([ds.values[t - 1, c] for t, c in zip(result.anchors, result.channels)])
+    assert result.naive_normalized.mse == np.mean((lasts[:, None] - result.targets) ** 2)
     assert result.predictions.shape == result.targets.shape
     # Original-unit predictions differ from normalized ones by the stored stats.
     c = result.channels[0]
@@ -299,7 +302,7 @@ def test_inference_records_no_tape_nodes(tiny_config, tiny_dataset, tmp_path, ta
 def test_kappa_partition_analysis_on_regime_data():
     """Single-period models of different lengths partition the test samples;
     samples best served by the short history show the sharpest futures."""
-    from mlf.metrics import kappa_by_best_period
+    from kappa import kappa_by_best_period
 
     ds0 = regime_dataset(2200)
     period_lengths = [8, 24, 64]

@@ -9,7 +9,9 @@ into a temporary directory) with `--against` that file. It prints how many
 digests are equal and each key that differs, or is on one side only, and
 exits 1 on any difference: equal lines mean that the two trees train, score,
 save and forecast to the same bits. The `src` of the tree that holds this
-file is imported, whatever the working directory.
+file is imported, whatever the working directory. So a line of an older tree
+that lacks a key this file adds (such as `scores`) comes from running this
+file copied into that tree's export.
 
 A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
 the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
@@ -21,13 +23,16 @@ value, compare those tensors name by name.
 It covers the desk config on regime-switching data, as base and with each
 ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
 and the paper-default config on 7-channel seasonal data, as base and
-`w/o lwi`, with short step-capped runs: 8 cases of 13 digests each. A run
-takes about 12 s on a 2-core VM with one BLAS thread. For each case it
-digests the raw gradients of one `backward` on the first training batch of
-the freshly built model (before clipping and Adam), the train step losses,
+`w/o lwi`, with short step-capped runs: 8 cases of 14 digests each, 112 in
+all. A run takes about 12 s on a 2-core VM with one BLAS thread. For each
+case it digests the raw gradients of one `backward` on the first training
+batch of the freshly built model (before clipping and Adam), the train step losses,
 the epoch train and validation losses, `validation_loss`, the `evaluate`
-predictions, LWI weight mean and attention mean, the checkpoint bytes, and
-the CSV bytes that `mlf forecast` writes from that checkpoint.
+predictions, LWI weight mean and attention mean, the scored test split, the
+checkpoint bytes, and the CSV bytes that `mlf forecast` writes from that
+checkpoint. `scores` hashes the JSON text of the test split's
+`evaluate(...).to_dict()`, pooled and with `fund_style=True`: every reported
+number, per horizon step, in original units, the WMAPE and the baseline.
 The restore path gets its own digests, all of the model that
 `cli.restore_model(load_checkpoint(...))` returns: the forecast of a bare
 `forward(training=False)` on the first test batch, called with no wrapper as
@@ -112,6 +117,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     result = training.train(model, ds, split, seed=SEED)
     val = training.evaluate(model, ds, split, "val").report_normalized.mse
     ev = training.evaluate(model, ds, split, "test", collect_attention=True)
+    fund = training.evaluate(model, ds, split, "test", fund_style=True)
 
     ckpt = work / "model.mlfckpt"
     record = cli.data_record(raw)
@@ -140,6 +146,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
         "predictions": digest(ev.predictions),
         "att_mean": digest(ev.att_mean),
         "attention_mean": digest(ev.attention_mean),
+        "scores": digest(json.dumps([ev.to_dict(), fund.to_dict()]).encode()),
         "checkpoint": digest(ckpt.read_bytes()),
         "forecast_csv": digest(out.read_bytes()),
         "restored_forward": digest(restored_forward),
