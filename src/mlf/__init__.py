@@ -15,7 +15,6 @@ from .data import (
     SeriesDataset,
     SplitRanges,
     load_csv,
-    load_fund_csv,
     split_dataset,
     standardize,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "build_model",
     "evaluate",
     "load_csv",
-    "load_fund_csv",
     "mlf_loss",
     "no_grad",
     "seed_streams",

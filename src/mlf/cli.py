@@ -7,7 +7,9 @@ be reproduced from the snapshot alone; `train` also records the `dataset`
 section in the checkpoint, and `eval` and `forecast` read their data file in
 the format it names. Each error category has one exception type, and `main`
 maps it to the one `error[<code>]: message` line it prints to stderr before
-exiting nonzero.
+exiting nonzero. `main` also owns the overflow policy: every command runs
+with numpy's overflow warnings off, because the checks behind each category
+report a non-finite loss, prediction or normalized value themselves.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .data import (
     Normalization,
     gather_batch,
     load_csv,
-    load_fund_csv,
     split_dataset,
     standardize,
 )
@@ -111,12 +112,6 @@ def apply_override(config: dict, item: str) -> None:
     node[parts[-1]] = value
 
 
-def read_dataset(path: str, section: dict) -> SeriesDataset:
-    """The one reader of data files, in the format of a `dataset` section
-    that `DATASET_FIELDS` checked: 'fund', or 'generic' when it sets none."""
-    return load_fund_csv(path) if section.get("format") == "fund" else load_csv(path)
-
-
 def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
     """Config, standardized dataset, split, dataset section, and the
     `data_record` of the values before standardization, of a run config that
@@ -129,13 +124,17 @@ def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
         raise ConfigError("dataset section takes 'path' or 'synthetic', not both")
     if "format" in section and "path" not in section:  # eval and forecast read their data file in it
         raise ConfigError("dataset section takes 'format' only with 'path'")
+    split_fields = section.get("split", {})
+    for key, scheme in (("rows_per_month", "ett"), ("ratios", "ratio")):
+        if key in split_fields and split_fields.get("scheme", "ratio") != scheme:
+            raise ConfigError(f"dataset.split.{key} applies only to scheme {scheme!r}")
     if "synthetic" in section:
         ds = synth.generate(**section["synthetic"])
     elif "path" in section:
-        ds = read_dataset(section["path"], section)
+        ds = load_csv(section["path"], section.get("format", "generic"))
     else:
         raise ConfigError("dataset section needs either 'path' or 'synthetic'")
-    split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    split = split_dataset(ds, **split_fields, min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     record = data_record(ds)
     ds = standardize(ds, split)
     return cfg, ds, split, section, record
@@ -184,12 +183,8 @@ def cmd_train(args) -> int:
                 f"val loss {record.val_loss:.6f} ({record.seconds:.1f}s)"
             )
 
-        # A non-finite loss is error[diverged], and non-finite predictions error[metric].
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train(
-                model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=section.get("anchor_stride", 1)
-            )
-            test = evaluate(model, ds, split, "test", fund_style=section.get("format") == "fund")
+        result = train(model, ds, split, seed=seed, log_fn=log_fn, anchor_stride=section.get("anchor_stride", 1))
+        test = evaluate(model, ds, split, "test")
         final = {
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
@@ -255,7 +250,7 @@ def cmd_eval(args) -> int:
         raise UsageError("attention export requires a model with attention enabled")
     if args.export_weights is not None and not cfg.use_lwi:
         raise UsageError("weight export requires the learned-integration head")
-    ds = read_dataset(args.data, section)
+    ds = load_csv(args.data, section.get("format", "generic"))
     # The split is recomputed from the file, so only the training data itself
     # scores the rows the checkpoint's run held out. Checkpoints written
     # without a data record (through the library API) are not checked.
@@ -268,15 +263,7 @@ def cmd_eval(args) -> int:
         )
     split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = apply_checkpoint_norm(ds, ckpt)
-    with np.errstate(over="ignore", invalid="ignore"):  # compute_metrics reports overflow as error[metric]
-        result = evaluate(
-            model,
-            ds,
-            split,
-            args.split,
-            collect_attention=args.export_attention is not None,
-            fund_style=section.get("format") == "fund",
-        )
+    result = evaluate(model, ds, split, args.split, collect_attention=args.export_attention is not None)
     # The exports are written before anything is printed, all or none, so one
     # that fails is the run's one error[io] line and leaves no file behind.
     matrix_csv = functools.partial(np.savetxt, delimiter=",", fmt="%.17g")
@@ -313,7 +300,7 @@ def cmd_forecast(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
     cfg = model.config
-    ds = read_dataset(args.data, ckpt.meta.get("run", {}).get("dataset", {}))
+    ds = load_csv(args.data, ckpt.meta.get("run", {}).get("dataset", {}).get("format", "generic"))
     needed = max(cfg.period_lengths)
     if ds.n_steps < needed:
         raise DataError(f"need at least {needed} history rows, file has {ds.n_steps}")
@@ -321,8 +308,7 @@ def cmd_forecast(args) -> int:
     # One sample per channel, all anchored at the end of the file.
     channels = np.arange(ds.n_channels)
     windows, _ = gather_batch(ds, channels, np.full(ds.n_channels, ds.n_steps), list(cfg.period_lengths), 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below, as error[metric]
-        rows = ds.norm.invert(model.forward(windows, training=False).forecast.data, channels).T  # (m, C)
+    rows = ds.norm.invert(model.forward(windows, training=False).forecast.data, channels).T  # (m, C)
     if not np.isfinite(rows).all():
         raise MetricError("predictions hold NaN or Inf")
     out = args.output or "forecast.csv"
@@ -429,7 +415,10 @@ ERROR_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy's overflow warnings are off for every command: the checks of each error
+        # category report a non-finite loss, prediction or normalized value as its one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except tuple(ERROR_CODES) as exc:
         code = next(ERROR_CODES[t] for t in type(exc).__mro__ if t in ERROR_CODES)
         print(f"error[{code}]: {exc}", file=sys.stderr)

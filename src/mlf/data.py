@@ -32,8 +32,7 @@ class Normalization:
     std: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a DataError
-            out = (values - self.mean) / self.std
+        out = (values - self.mean) / self.std
         if not np.isfinite(out).all():
             bad = np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist()
             raise DataError(f"values overflow when normalized, in channel index(es) {bad}")
@@ -58,6 +57,7 @@ class SeriesDataset:
     values: np.ndarray  # (T, C) float64
     timestamps: list[str] | None = None
     norm: Normalization | None = None
+    format: str = "generic"  # "fund": the FUND_VALUE_COLUMNS channels, scored with the WMAPE summed per channel
 
     @property
     def n_steps(self) -> int:
@@ -83,14 +83,17 @@ class SplitRanges:
             raise DataError(f"unknown split {name!r}, expected train/val/test") from None
 
 
-def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset:
-    """Load a comma-separated series file.
+def load_csv(path: str, format: str = "generic") -> SeriesDataset:
+    """Load a comma-separated series file: the one reader of data files.
 
     The first column is a date/identifier and is kept as a string; every
-    other column must parse as a float. `value_columns` picks a subset of
-    columns as the forecast channels and drops the rest (used for fund-style
-    files whose flag columns are not model inputs).
+    other column must parse as a float. In `format` "generic" every such
+    column is a forecast channel. In "fund" the `FUND_VALUE_COLUMNS` are the
+    channels and the flag columns are dropped; the dataset records the
+    format, and `evaluate` sums its WMAPE per channel.
     """
+    if format not in ("generic", "fund"):
+        raise DataError(f"unknown data format {format!r}, expected 'generic' or 'fund'")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -132,19 +135,13 @@ def load_csv(path: str, value_columns: list[str] | None = None) -> SeriesDataset
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     matrix = np.asarray(rows, dtype=np.float64)
 
-    if value_columns is None:
+    if format == "generic":
         return SeriesDataset(columns, matrix, timestamps)
-    missing = [c for c in value_columns if c not in columns]
+    missing = [c for c in FUND_VALUE_COLUMNS if c not in columns]
     if missing:
         raise DataError(f"{path}: value columns not found: {missing}")
-    value_idx = [columns.index(c) for c in value_columns]
-    return SeriesDataset(list(value_columns), matrix[:, value_idx], timestamps)
-
-
-def load_fund_csv(path: str) -> SeriesDataset:
-    """Load a fund-sales file: apply/redeem amounts are the channels; the
-    calendar flag columns are dropped."""
-    return load_csv(path, value_columns=list(FUND_VALUE_COLUMNS))
+    value_idx = [columns.index(c) for c in FUND_VALUE_COLUMNS]
+    return SeriesDataset(list(FUND_VALUE_COLUMNS), matrix[:, value_idx], timestamps, format=format)
 
 
 def split_dataset(
@@ -159,7 +156,8 @@ def split_dataset(
     """Partition the time axis into train/val/test ranges.
 
     scheme "ratio" splits by the given proportions (default 7:1:2); scheme
-    "ett" uses the 12/4/4-month convention with `rows_per_month` rows each.
+    "ett" uses the 12/4/4-month convention with `rows_per_month` rows each,
+    so the rows after month 20 belong to no split.
     Window sampling later reaches back across range starts for history, so
     the ranges themselves stay disjoint. Given `min_history`, the train and
     test ranges must each hold a complete window; validation may be empty.
@@ -169,12 +167,14 @@ def split_dataset(
         total = sum(ratios)
         train_end = t * ratios[0] // total
         val_end = t * (ratios[0] + ratios[1]) // total
+        test_end = t
     elif scheme == "ett":
         train_end = min(12 * rows_per_month, t)
         val_end = min(16 * rows_per_month, t)
+        test_end = min(20 * rows_per_month, t)
     else:
         raise DataError(f"unknown split scheme {scheme!r}, expected 'ratio' or 'ett'")
-    split = SplitRanges((0, train_end), (train_end, val_end), (val_end, t))
+    split = SplitRanges((0, train_end), (train_end, val_end), (val_end, test_end))
     for name in ("train", "test") if min_history else ():
         lo, hi = split.get(name)
         if not window_anchors((lo, hi), [min_history], horizon).size:
@@ -194,8 +194,7 @@ def standardize(ds: SeriesDataset, split: SplitRanges) -> SeriesDataset:
     """
     lo, hi = split.train
     train = ds.values[lo:hi]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a DataError
-        mean, std = train.mean(axis=0), train.std(axis=0)
+    mean, std = train.mean(axis=0), train.std(axis=0)
     for bad, message in ((~(np.isfinite(mean) & np.isfinite(std)), "train-split mean or std overflows for channel(s)"),
                          (std < 1e-12, "constant channel(s) on the train split")):
         if bad.any():
@@ -210,12 +209,7 @@ def window_anchors(
     """Valid forecast origins t for a split: full history exists (t >= n_S)
     and the target stays inside the split (t + m <= end)."""
     start, end = split_range
-    longest = max(period_lengths)
-    first = max(start, longest)
-    last = end - horizon
-    if last < first:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(first, last + 1, dtype=np.int64)
+    return np.arange(max(start, max(period_lengths)), end - horizon + 1, dtype=np.int64)
 
 
 def gather_batch(

@@ -28,7 +28,7 @@ class WeightIntegrator:
         n_periods: int,
         horizon: int,
         window_len: int,
-        conv_filters: int = 16,
+        conv_filters: int,
     ):
         self.n_periods = n_periods
         self.horizon = horizon

@@ -24,17 +24,18 @@ class MetricsReport:
         return asdict(self)
 
 
-def compute_metrics(pred: np.ndarray, target: np.ndarray, *, units: str, channels: np.ndarray | None = None,
-                    sum_wmape_channels: bool = False) -> MetricsReport:
+def compute_metrics(pred: np.ndarray, target: np.ndarray, *, units: str,
+                    channels: np.ndarray | None = None) -> MetricsReport:
     """Aggregate metrics for stacked (n_samples, horizon) forecasts, in `units`
     ("normalized" or "original"), overall and per horizon step.
 
-    The WMAPE, 100 * sum|y - yhat| / sum|y|, pools every value, or with
-    `sum_wmape_channels` is summed over the channels that `channels` gives
-    each row (the fund-sales convention of reporting the two transaction
-    variables jointly). A zero denominator, which all-zero normalized targets
-    can hit, leaves it None. Its one caller is `evaluate`; besides the shape
-    match, it checks only that the predictions are finite.
+    The WMAPE, 100 * sum|y - yhat| / sum|y|, pools every value, or, given
+    the channel of each row in `channels`, is summed over the channels (the
+    fund-sales convention of reporting the two transaction variables
+    jointly, which `evaluate` applies to a "fund" dataset). A zero
+    denominator, which all-zero normalized targets can hit, leaves it None.
+    Its one caller is `evaluate`; besides the shape match, it checks only
+    that the predictions are finite.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -44,7 +45,7 @@ def compute_metrics(pred: np.ndarray, target: np.ndarray, *, units: str, channel
         raise MetricError("predictions hold NaN or Inf")
     err = pred - target
     sq, ab = err**2, np.abs(err)
-    groups = [channels == c for c in np.unique(channels)] if sum_wmape_channels else [slice(None)]
+    groups = [channels == c for c in np.unique(channels)] if channels is not None else [slice(None)]
     wmape = 0.0
     for rows in groups:
         denom = float(np.sum(np.abs(target[rows])))

@@ -156,7 +156,7 @@ def int_at_least(least: int) -> tuple:
 
 # A `dataset` section's table: `cli.load_run_config` walks a run config's
 # section with it, and `load_checkpoint` a checkpoint's `meta.run.dataset`.
-# Every field that a reader of the section uses is here, so `cli.read_dataset`
+# Every field that a reader of the section uses is here, so `data.load_csv`
 # takes its `format`, `synth.generate` its `synthetic` fields and
 # `split_dataset` its `split` fields as given; `mlf synth-data` checks its
 # flags against the `synthetic` table.

@@ -16,7 +16,7 @@ EPS = 1e-8
 class Adam:
     """Adam with bias correction over a name -> Tensor parameter mapping."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0

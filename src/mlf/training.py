@@ -175,11 +175,12 @@ def evaluate(
     split_name: str = "test",
     *,
     collect_attention: bool = False,
-    fund_style: bool = False,
     anchor_stride: int = 1,
 ) -> EvalResult:
     """Forecast a whole split and score it in normalized and original units,
-    next to the repeat-last-value baseline in normalized units."""
+    next to the repeat-last-value baseline in normalized units. The
+    original-unit WMAPE of a "fund" dataset (`ds.format`) is summed per
+    channel; every other WMAPE pools all values."""
     cfg = model.config
     channels, anchors = sample_index(ds, split.get(split_name), cfg, anchor_stride)
     if channels.size == 0:
@@ -211,11 +212,7 @@ def evaluate(
         preds_orig, targets_orig = ds.norm.invert(preds, channels), ds.norm.invert(targets, channels)
     report_norm = compute_metrics(preds, targets, units="normalized")
     report_orig = compute_metrics(
-        preds_orig,
-        targets_orig,
-        units="original",
-        channels=channels,
-        sum_wmape_channels=fund_style,
+        preds_orig, targets_orig, units="original", channels=channels if ds.format == "fund" else None
     )
     naive = np.repeat(ds.values[anchors - 1, channels][:, None], cfg.horizon, axis=1)  # each history's last value
     naive_report = compute_metrics(naive, targets, units="normalized")

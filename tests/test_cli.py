@@ -12,6 +12,7 @@ import pytest
 
 from mlf import cli
 from mlf.checkpoint import load_checkpoint, save_checkpoint
+from mlf.data import load_csv
 
 
 def run_cli(capsys, *argv):
@@ -395,7 +396,7 @@ def test_set_takes_a_dataset_path_without_json_quotes(tmp_path, capsys):
     assert code == 0, err
     assert read_json(tmp_path / "out" / "resolved_config.json")["dataset"] == {"path": data_csv}
     record = load_checkpoint(str(tmp_path / "out" / "checkpoint.mlfckpt")).meta["data"]
-    assert record == cli.data_record(cli.read_dataset(data_csv, {}))
+    assert record == cli.data_record(load_csv(data_csv))
 
 
 def test_set_overrides_fields(toy_run, capsys):
@@ -534,6 +535,10 @@ def dataset_config(tmp_path, dataset):
          "values overflow when normalized, in channel index(es) [0]"),
         ("usage", lambda tmp: ["synth-data", "--kind", "foo", "--output", str(tmp / "s.csv")],
          "--kind must be one of ['ett', 'regime-switch', 'trend'], got 'foo'"),
+        ("config", lambda tmp: ["train", dataset_config(tmp, {"synthetic": {}, "split": {"rows_per_month": 50}})],
+         "dataset.split.rows_per_month applies only to scheme 'ett'"),
+        ("config", lambda tmp: ["train", dataset_config(tmp, {"synthetic": {}, "split": {"scheme": "ett", "ratios": [7, 1, 2]}})],
+         "dataset.split.ratios applies only to scheme 'ratio'"),
     ],
     ids=["io", "config-json", "config-object", "config-set-path", "config-top-level-key", "usage-set", "usage-export",
          "usage-export-attention", "checkpoint", "data", "usage-seeds-zero", "usage-seeds-negative", "usage-rows-one",
@@ -543,7 +548,8 @@ def dataset_config(tmp_path, dataset):
          "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic",
          "config-dataset-format-without-path", "io-export-path", "checkpoint-missing", "checkpoint-header-not-object",
          "data-empty-file", "data-date-column-only", "data-fund-columns-missing", "config-dataset-empty",
-         "data-train-stats-overflow", "data-normalized-overflow", "usage-synth-kind-unknown"],
+         "data-train-stats-overflow", "data-normalized-overflow", "usage-synth-kind-unknown",
+         "config-split-rows-per-month-without-ett", "config-split-ratios-under-ett"],
 )
 def test_each_error_category_prints_its_one_line(tmp_path, capsys, code, argv, needle):
     status, out, err = run_cli(capsys, *argv(tmp_path))
@@ -599,7 +605,7 @@ def test_seeded_header_and_csv_edits_print_one_error_line_or_a_finite_result(tmp
     forecast (for `eval`, its JSON report)."""
     data = write_history(tmp_path / "d.csv", 160)
     ckpt = load_checkpoint(save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM))
-    ckpt.meta = {"run": {"seed": 0, "dataset": {}}, "data": cli.data_record(cli.read_dataset(data, {}))}
+    ckpt.meta = {"run": {"seed": 0, "dataset": {}}, "data": cli.data_record(load_csv(data))}
     save_checkpoint(str(tmp_path / "m.ckpt"), ckpt)
     blob, csv_blob = (tmp_path / "m.ckpt").read_bytes(), Path(data).read_bytes()
     header_end = 16 + int.from_bytes(blob[8:16], "little")
@@ -638,18 +644,18 @@ def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_p
     save_checkpoint(path, ckpt)
     out_csv = tmp_path / "forecast.csv"
     argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run_cli(capsys, *argv, *(["--output", str(out_csv)] if command == "forecast" else []))
+    code, out, err = run_cli(capsys, *argv, *(["--output", str(out_csv)] if command == "forecast" else []))
     assert code == 1
     assert err == "error[metric]: predictions hold NaN or Inf\n"
     assert out == "" and not out_csv.exists()
 
 
-def test_a_diverging_run_prints_one_stderr_line_when_run_as_a_program(toy_run):
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--flags", "lwi"]], ids=["train", "ablate"])
+def test_a_diverging_run_prints_one_stderr_line_when_run_as_a_program(toy_run, command):
     """In its own process, where numpy prints its warnings; under pytest they raise instead."""
     path, out_dir = toy_run
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONWARNINGS="default")
-    argv = [sys.executable, "-m", "mlf.cli", "train", str(path), "--set", "model.learning_rate=1e300"]
+    argv = [sys.executable, "-m", "mlf.cli", *command, str(path), "--set", "model.learning_rate=1e300"]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr) == (1, "error[diverged]: non-finite training loss at step 1\n")
     assert done.stdout == "" and not (out_dir / "checkpoint.mlfckpt").exists()

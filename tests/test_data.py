@@ -8,7 +8,6 @@ from mlf.data import (
     SplitRanges,
     gather_batch,
     load_csv,
-    load_fund_csv,
     split_dataset,
     standardize,
     window_anchors,
@@ -79,9 +78,17 @@ def test_load_fund_csv_separates_flags(tmp_path):
             "p1,12,7,0,2",
         ],
     )
-    ds = load_fund_csv(str(path))
-    assert ds.channel_names == ["apply_amt", "redeem_amt"]
+    ds = load_csv(str(path), "fund")
+    assert ds.channel_names == ["apply_amt", "redeem_amt"] and ds.format == "fund"
     assert np.array_equal(ds.values, [[10, 5], [11, 6], [12, 7]])
+
+
+def test_load_csv_unknown_format_is_error(tmp_path):
+    path = tmp_path / "small.csv"
+    write_lines(path, ["date,a", "d1,1", "d2,2"])
+    assert load_csv(str(path)).format == "generic"
+    with pytest.raises(DataError, match="unknown data format 'excel'"):
+        load_csv(str(path), "excel")
 
 
 # -- splitting -----------------------------------------------------------------
@@ -107,6 +114,9 @@ def test_ett_split_uses_month_blocks():
     assert split.train == (0, 8640)
     assert split.val == (8640, 11520)
     assert split.test == (11520, 14400)
+    # Rows after month 20 belong to no split.
+    longer = split_dataset(seasonal_multichannel(24 * 24 * 30, 1, seed=1), "ett", rows_per_month=720)
+    assert (longer.train, longer.val, longer.test) == ((0, 8640), (8640, 11520), (11520, 14400))
 
 
 def test_unknown_scheme():

@@ -26,9 +26,9 @@ def reference_wmape(pred, target):
     return 100.0 * float(np.sum(np.abs(target - pred))) / denom
 
 
-def reference_report(pred, target, units, channels=None, sum_wmape_channels=False):
+def reference_report(pred, target, units, channels=None):
     try:
-        if sum_wmape_channels:
+        if channels is not None:
             wmape = 0.0
             for c in np.unique(channels):
                 rows = channels == c
@@ -70,7 +70,7 @@ def seeded_case(seed):
 def test_reports_equal_the_reference_bit_for_bit(chunk):
     for seed in range(chunk * 100, (chunk + 1) * 100):
         pred, target, channels = seeded_case(seed)
-        for units, grouping in (("normalized", {}), ("original", {"channels": channels, "sum_wmape_channels": True})):
+        for units, grouping in (("normalized", {}), ("original", {"channels": channels})):
             report = compute_metrics(pred, target, units=units, **grouping)
             assert report.to_dict() == reference_report(pred, target, units, **grouping), seed
 
@@ -98,9 +98,7 @@ def test_all_zero_targets_report_no_wmape():
     pred = np.array([[1.0, 3.0], [0.0, 2.0]])
     target = np.zeros((2, 2))
     for channels in (None, np.array([0, 1])):
-        report = compute_metrics(
-            pred, target, units="normalized", channels=channels, sum_wmape_channels=channels is not None
-        )
+        report = compute_metrics(pred, target, units="normalized", channels=channels)
         assert report.wmape is None
         assert report.mse == pytest.approx(14.0 / 4.0) and report.mae == pytest.approx(6.0 / 4.0)
 
@@ -130,9 +128,7 @@ def test_sum_wmape_over_channels():
     pred = np.array([[12.0], [8.0]])
     target = np.array([[10.0], [10.0]])
     channels = np.array([0, 1])
-    report = compute_metrics(
-        pred, target, units="original", channels=channels, sum_wmape_channels=True
-    )
+    report = compute_metrics(pred, target, units="original", channels=channels)
     assert report.wmape == pytest.approx(20.0 + 20.0)
     pooled = compute_metrics(pred, target, units="original")
     assert pooled.wmape == pytest.approx(20.0)

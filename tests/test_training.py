@@ -8,7 +8,7 @@ import pytest
 
 from mlf import autograd, cli
 from mlf.checkpoint import Checkpoint, save_checkpoint
-from mlf.data import DataError, SplitRanges, split_dataset, standardize
+from mlf.data import DataError, SeriesDataset, SplitRanges, load_csv, split_dataset, standardize
 from mlf.metrics import MetricError
 from mlf.model import MlfConfig, MlfModel, build_model
 from mlf.synth import linear_trend, regime_switching, write_csv
@@ -181,6 +181,29 @@ def test_evaluate_reports_both_units(tiny_config, tiny_dataset):
     denorm = result.predictions[0] * ds.norm.std[c] + ds.norm.mean[c]
     assert result.report_original.mse >= 0.0
     assert np.isfinite(denorm).all()
+
+
+def test_a_fund_dataset_sums_its_wmape_per_channel(tiny_config, tmp_path):
+    from dataclasses import replace
+
+    # The same data scored as "fund" and as "generic": only the
+    # original-unit WMAPE differs, summed per channel or pooled.
+    path = tmp_path / "fund.csv"
+    trend = linear_trend(160, 2, seed=3)
+    write_csv(SeriesDataset(["apply_amt", "redeem_amt"], trend.values + [100.0, 50.0], trend.timestamps), str(path))
+    raw = load_csv(str(path), "fund")
+    split = split_dataset(raw, "ratio", min_history=8, horizon=2)
+    ds = standardize(raw, split)
+    model = build_model(tiny_config, seed=0)
+    fund, generic = (evaluate(model, replace(ds, format=f), split, "test") for f in ("fund", "generic"))
+    assert ds.format == "fund" and fund.report_normalized == generic.report_normalized
+    channels = fund.channels
+    target = np.abs(ds.norm.invert(fund.targets, channels))
+    err = np.abs(ds.norm.invert(fund.predictions, channels) - ds.norm.invert(fund.targets, channels))
+    per_channel = [100.0 * np.sum(err[channels == c]) / np.sum(target[channels == c]) for c in (0, 1)]
+    assert fund.report_original.wmape == pytest.approx(sum(per_channel), rel=1e-12)
+    assert generic.report_original.wmape == pytest.approx(100.0 * np.sum(err) / np.sum(target), rel=1e-12)
+    assert fund.report_original.wmape > generic.report_original.wmape
 
 
 def test_a_split_without_windows_is_a_data_error(tiny_config, tiny_dataset):

@@ -11,7 +11,10 @@ exits 1 on any difference: equal lines mean that the two trees train, score,
 save and forecast to the same bits. The `src` of the tree that holds this
 file is imported, whatever the working directory. So a line of an older tree
 that lacks a key this file adds (such as `scores`) comes from running this
-file copied into that tree's export.
+file copied into that tree's export, as long as that tree has every name this
+file calls. A tree whose `SeriesDataset` has no `format` field cannot run this
+file; compare with the line that its own `tools/parity.py` prints, which
+digests the same reports.
 
 A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
 the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
@@ -31,8 +34,10 @@ the epoch train and validation losses, `validation_loss`, the `evaluate`
 predictions, LWI weight mean and attention mean, the scored test split, the
 checkpoint bytes, and the CSV bytes that `mlf forecast` writes from that
 checkpoint. `scores` hashes the JSON text of the test split's
-`evaluate(...).to_dict()`, pooled and with `fund_style=True`: every reported
-number, per horizon step, in original units, the WMAPE and the baseline.
+`evaluate(...).to_dict()`, on the dataset as built and on
+`replace(ds, format="fund")`, whose original-unit WMAPE is summed per
+channel: every reported number, per horizon step, in original units, the
+WMAPE and the baseline.
 The restore path gets its own digests, all of the model that
 `cli.restore_model(load_checkpoint(...))` returns: the forecast of a bare
 `forward(training=False)` on the first test batch, called with no wrapper as
@@ -52,6 +57,7 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 # One BLAS thread on both trees, set before numpy is imported.
@@ -117,7 +123,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     result = training.train(model, ds, split, seed=SEED)
     val = training.evaluate(model, ds, split, "val").report_normalized.mse
     ev = training.evaluate(model, ds, split, "test", collect_attention=True)
-    fund = training.evaluate(model, ds, split, "test", fund_style=True)
+    fund = training.evaluate(model, replace(ds, format="fund"), split, "test")
 
     ckpt = work / "model.mlfckpt"
     record = cli.data_record(raw)
