@@ -9,6 +9,11 @@ its vjp has run, so a graph can be walked only once. Inside `with no_grad():`
 nothing is recorded, as with `torch.no_grad`. The model's inference forward
 runs in it, so inference records nothing and frees each array once unread.
 
+`consume=True` on `add`, `mul`, `relu`, `softmax` or `batch_norm` says the
+caller reads the operand (the first of `add` and `mul`, the input of the rest)
+no more. Only when nothing records is its array overwritten with the result;
+while the tape records, each primitive allocates, so no vjp reads an overwrite.
+
 The tape keeps only what backward reads. An edge is the parent's tape entry,
 or the parent itself when it is a leaf, never a recorded output, and each vjp
 closes over exactly the arrays and shapes it reads (as PyTorch keeps only
@@ -152,10 +157,15 @@ def _lift(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether the output of a primitive over `parents` goes on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """Wrap a primitive's output, recording it on the tape when needed."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._fn = _Fn(tuple(p._fn or p for p in parents), vjp, op)
     return out
@@ -177,8 +187,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic ----------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+def add(a: Tensor, b: Tensor, *, consume: bool = False) -> Tensor:
+    """a + b; `consume` may write it into `a`'s array, which has its shape."""
+    data = np.add(a.data, b.data, out=a.data if consume and not _records((a, b)) else None)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -187,8 +198,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), vjp, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+def mul(a: Tensor, b: Tensor, *, consume: bool = False) -> Tensor:
+    """a * b; `consume` may write it into `a`'s array, as in `add`."""
+    data = np.multiply(a.data, b.data, out=a.data if consume and not _records((a, b)) else None)
     need_a, need_b = a.requires_grad, b.requires_grad
     # da reads only b, and db only a.
     a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
@@ -279,10 +291,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 # -- nonlinearities ---------------------------------------------------------
 
 
-def softmax(a: Tensor) -> Tensor:
+def softmax(a: Tensor, *, consume: bool = False) -> Tensor:
     """Numerically stable softmax over the last axis: subtracts each row's
-    maximum first."""
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    maximum first. `consume` overwrites `a` with the result when nothing records."""
+    y = np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=a.data if consume and not _records((a,)) else None)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -314,13 +326,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(y, (a,), vjp, "sigmoid")
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, *, consume: bool = False) -> Tensor:
+    """max(a, 0) as a * (a > 0). `consume` overwrites `a` when nothing records."""
     mask = a.data > 0
 
     def vjp(g):
         return (g * mask,)
 
-    return _node(a.data * mask, (a,), vjp, "relu")
+    return _node(np.multiply(a.data, mask, out=a.data if consume and not _records((a,)) else None), (a,), vjp, "relu")
 
 
 # -- means and losses --------------------------------------------------------
@@ -391,12 +404,14 @@ def batch_norm(
     running_var: np.ndarray,
     *,
     training: bool,
+    consume: bool = False,
 ) -> Tensor:
     """Batch normalization of (B, C, T) over the batch and position axes.
 
     Training mode normalizes with batch statistics and updates the running
     estimates in place, with momentum BN_MOMENTUM; inference mode uses the
-    running estimates. gamma/beta have shape (C,).
+    running estimates. gamma/beta have shape (C,). `consume` may write the
+    result into `x`; when nothing records, no vjp reads xhat, so it is scaled in place.
     """
     axes = (0, 2)
     g_col = gamma.data[None, :, None]
@@ -415,7 +430,8 @@ def batch_norm(
     else:
         mean, var = running_mean, running_var
     inv_std = (1.0 / np.sqrt(var + BN_EPS))[None, :, None]
-    xhat = x.data - mean[None, :, None]
+    records = _records((x, gamma, beta))
+    xhat = np.subtract(x.data, mean[None, :, None], out=x.data if consume and not records else None)
     xhat *= inv_std
 
     def vjp(g):
@@ -428,7 +444,7 @@ def batch_norm(
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes, keepdims=True)
         return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), dgamma, dbeta
 
-    out = xhat * g_col
+    out = np.multiply(xhat, g_col, out=None if records else xhat)
     out += beta.data[None, :, None]
     return _node(out, (x, gamma, beta), vjp, "batch_norm")
 

@@ -141,7 +141,8 @@ def load_csv(path: str, format: str = "generic") -> SeriesDataset:
     if missing:
         raise DataError(f"{path}: value columns not found: {missing}")
     value_idx = [columns.index(c) for c in FUND_VALUE_COLUMNS]
-    return SeriesDataset(list(FUND_VALUE_COLUMNS), matrix[:, value_idx], timestamps, format=format)
+    values = np.ascontiguousarray(matrix[:, value_idx])  # C order, so `standardize` sums it as a generic read
+    return SeriesDataset(list(FUND_VALUE_COLUMNS), values, timestamps, format=format)
 
 
 def split_dataset(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, add, concat, matmul, relu, reshape, softmax, transpose
+from .autograd import Tensor, add, concat, matmul, mul, relu, reshape, softmax, transpose
 from .layers import BatchNorm, ChannelLinear, Linear, ParamStore
 
 
@@ -63,14 +63,15 @@ class EncoderBlock:
         """Returns (z, scores); scores is (H, B, N, N) when collected."""
         batch, _, n_tok = x.shape
         q, k, v = (self._heads(w, x) for w in (self.w_q, self.w_k, self.w_v))
-        scale = 1.0 / np.sqrt(self.d_k)
-        scores = softmax(scale * matmul(transpose(q), k))  # (B, H, N, N)
+        scale = Tensor(1.0 / np.sqrt(self.d_k))
+        scores = softmax(mul(matmul(transpose(q), k), scale, consume=True), consume=True)  # (B, H, N, N)
         merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
         kept = scores.data.swapaxes(0, 1) if collect_scores else None
         del q, k, v, scores  # only the tape, if any, keeps them through the feed-forward
-        u = self.norm_attn(add(x, matmul(transpose(self.w_out), merged)), training=training)
-        f = self.ff_out(relu(self.ff_in(u)))
-        z = self.norm_ff(add(u, f), training=training)
+        # The fresh branch goes first in each residual add: `consume` may overwrite only that operand.
+        u = self.norm_attn(add(matmul(transpose(self.w_out), merged), x, consume=True), training=training)
+        f = self.ff_out(relu(self.ff_in(u), consume=True))
+        z = self.norm_ff(add(f, u, consume=True), training=training)
         return z, kept
 
 

@@ -70,7 +70,7 @@ class Linear:
         self.b = store.uniform(f"{name}.b", (n_out,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return add(matmul(x, self.w), self.b, consume=True)
 
 
 class ChannelLinear:
@@ -82,11 +82,12 @@ class ChannelLinear:
         self.b = store.uniform(f"{name}.b", (n_out, 1), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(self.w, x), self.b)
+        return add(matmul(self.w, x), self.b, consume=True)
 
 
 class BatchNorm:
-    """Feature-axis batch norm for (B, C, T) tensors with running statistics."""
+    """Feature-axis batch norm for (B, C, T) tensors with running statistics.
+    It consumes its input: every caller passes a fresh add or conv output."""
 
     def __init__(self, store: ParamStore, name: str, num_features: int):
         self.gamma = store.ones(f"{name}.gamma", (num_features,))
@@ -95,4 +96,6 @@ class BatchNorm:
         self.running_var = store.buffer(f"{name}.running_var", np.ones(num_features))
 
     def __call__(self, x: Tensor, *, training: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=training)
+        return batch_norm(
+            x, self.gamma, self.beta, self.running_mean, self.running_var, training=training, consume=True
+        )

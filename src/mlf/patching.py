@@ -68,4 +68,4 @@ def embed(patches: Tensor, w_proj: Tensor, w_pos: Tensor) -> Tensor:
     patches: (..., L, N); w_proj: (D, L); w_pos: (D, N). Both weight
     matrices are per-period trainables.
     """
-    return add(matmul(w_proj, patches), w_pos)
+    return add(matmul(w_proj, patches), w_pos, consume=True)

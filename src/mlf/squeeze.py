@@ -50,8 +50,8 @@ class PeriodDecoder:
 
     def __call__(self, x: Tensor) -> Tensor:
         # (B, D, N/r) -> (B, D, N) -> (B, L, N)
-        h = self.count_out(relu(self.count_in(x)))
-        return self.len_out(relu(self.len_in(h)))
+        h = self.count_out(relu(self.count_in(x), consume=True))
+        return self.len_out(relu(self.len_in(h), consume=True))
 
 
 def concat_periods(squeezed: list[Tensor]) -> Tensor:

@@ -10,6 +10,7 @@ from mlf import autograd
 from mlf.autograd import (
     ShapeError,
     Tensor,
+    add,
     average,
     backward,
     batch_norm,
@@ -290,6 +291,50 @@ def test_no_grad_is_restored_after_an_exception():
             raise RuntimeError("raised inside no_grad")
     y = mul(x, x)
     assert y.requires_grad and y._fn.parents == (x, x)
+
+
+# Each primitive that takes `consume`, as f(operand, param, consume): the
+# operand it may overwrite, then the parameter the call reads besides, if any.
+CONSUMERS = {
+    "add": lambda a, p, consume: add(a, p, consume=consume),
+    "add_broadcast": lambda a, p, consume: add(a, Tensor(p.data[0, 0], p.requires_grad), consume=consume),
+    "mul": lambda a, p, consume: mul(a, p, consume=consume),
+    "relu": lambda a, p, consume: relu(a, consume=consume),
+    "softmax": lambda a, p, consume: softmax(a, consume=consume),
+    **{
+        f"batch_norm_{mode}": lambda a, p, consume, training=training: batch_norm(
+            a, Tensor(p.data[0, :, 0] + 1.5, p.requires_grad), Tensor(p.data[1, :, 1], p.requires_grad),
+            np.full(3, 0.25), np.full(3, 2.0), training=training, consume=consume,
+        )
+        for mode, training in (("eval", False), ("train", True))
+    },
+}
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_consume_overwrites_the_operand_only_when_nothing_records(name):
+    """Recording nothing, `consume=True` gives the bits of `consume=False`,
+    written into the operand's array; while the tape records, the operand is
+    left as it was."""
+    f, rng = CONSUMERS[name], np.random.default_rng(31)
+    x, param = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3, 4))
+
+    with no_grad():  # parameters that require grad, as in the inference forward
+        operand = Tensor(x.copy())
+        expected = f(operand, Tensor(param, requires_grad=True), False)
+        assert np.array_equal(operand.data, x) and not np.shares_memory(expected.data, operand.data)
+        result = f(operand, Tensor(param, requires_grad=True), True)
+    assert np.array_equal(result.data, expected.data)
+    assert np.shares_memory(result.data, operand.data)
+
+    # Outside `no_grad`, what records is what `_node` records: nothing here.
+    operand = Tensor(x.copy())
+    assert np.shares_memory(f(operand, Tensor(param), True).data, operand.data)
+
+    operand = Tensor(x.copy(), requires_grad=True)
+    taped = f(operand, Tensor(param, requires_grad=True), True)
+    assert taped.requires_grad and np.array_equal(operand.data, x)
+    assert np.array_equal(taped.data, expected.data)
 
 
 def test_a_dropped_intermediate_is_freed_while_its_graph_lives():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mlf import autograd, cli
-from mlf.checkpoint import Checkpoint, save_checkpoint
+from mlf.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from mlf.data import DataError, SeriesDataset, SplitRanges, load_csv, split_dataset, standardize
 from mlf.metrics import MetricError
-from mlf.model import MlfConfig, MlfModel, build_model
+from mlf.model import ABLATION_FLAGS, MlfConfig, MlfModel, apply_ablation, build_model
 from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, batches, evaluate, train, sample_index
 from mlf.data import gather_batch
@@ -206,6 +206,22 @@ def test_a_fund_dataset_sums_its_wmape_per_channel(tiny_config, tmp_path):
     assert fund.report_original.wmape > generic.report_original.wmape
 
 
+def test_a_fund_file_is_normalized_and_forecast_as_its_generic_read(tiny_config, tmp_path):
+    """The fund reader keeps C order, so `standardize` sums a fund file's
+    columns in the order it sums the same columns read as "generic"."""
+    path = tmp_path / "fund.csv"
+    trend = linear_trend(160, 2, seed=3)
+    write_csv(SeriesDataset(["apply_amt", "redeem_amt"], trend.values + [100.0, 50.0], trend.timestamps), str(path))
+    fund, generic = (load_csv(str(path), f) for f in ("fund", "generic"))
+    assert fund.values.flags.c_contiguous and np.array_equal(fund.values, generic.values)
+    split = split_dataset(fund, "ratio", min_history=8, horizon=2)
+    fund, generic = (standardize(d, split) for d in (fund, generic))
+    for a, b in ((fund.norm.mean, generic.norm.mean), (fund.norm.std, generic.norm.std), (fund.values, generic.values)):
+        assert np.array_equal(a, b)
+    model = build_model(tiny_config, seed=0)
+    assert np.array_equal(evaluate(model, fund, split).predictions, evaluate(model, generic, split).predictions)
+
+
 def test_a_split_without_windows_is_a_data_error(tiny_config, tiny_dataset):
     ds, _ = tiny_dataset
     model = build_model(tiny_config, seed=0)
@@ -252,7 +268,7 @@ def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-6
 
 
-def taped_batches(model, ds, split_range, monkeypatch):
+def taped_batches(model, ds, split_range, monkeypatch, collect_diagnostics=False):
     """The inference forward of `evaluate`, batch by batch, with the tape
     recording: `forward`'s `no_grad` is swapped for a null context until the
     test ends."""
@@ -262,22 +278,68 @@ def taped_batches(model, ds, split_range, monkeypatch):
     for lo in range(0, channels.size, cfg.batch_size):
         sel = slice(lo, lo + cfg.batch_size)
         windows, _ = gather_batch(ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon)
-        bundle = model.forward(windows, training=False)
+        bundle = model.forward(windows, training=False, collect_diagnostics=collect_diagnostics)
         assert bundle.forecast.requires_grad
         yield bundle
 
 
-def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset, monkeypatch):
+@pytest.mark.parametrize("collect", [False, True], ids=["scores_off", "scores_on"])
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS], ids=["base", *(f"wo_{f}" for f in ABLATION_FLAGS)])
+def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset, monkeypatch, flag, collect):
+    """Each variant overwrites other temporaries in place when nothing
+    records (no blocks without `ma`, no LWI batch norm without `lwi`, no
+    decoders without the reconstruction loss); each keeps the taped bits."""
     from dataclasses import replace
 
     ds, split = tiny_dataset
     cfg = replace(tiny_config, batch_size=8)  # several batches per split
+    if flag is not None:  # fixed patching needs periods of at least 8
+        cfg = apply_ablation(replace(cfg, period_lengths=(8, 16)) if flag == "map" else cfg, flag)
     model = build_model(cfg, seed=0)
     train(model, ds, split, seed=0)
 
-    result = evaluate(model, ds, split, "test")
-    taped = np.concatenate([b.forecast.data for b in taped_batches(model, ds, split.test, monkeypatch)])
-    assert np.array_equal(result.predictions, taped)
+    result = evaluate(model, ds, split, "test", collect_attention=collect)
+    bundles = list(taped_batches(model, ds, split.test, monkeypatch, collect))
+    assert np.array_equal(result.predictions, np.concatenate([b.forecast.data for b in bundles]))
+    if cfg.use_lwi:  # summed as `evaluate` sums them
+        att = sum(b.att.data.sum(axis=0) for b in bundles) / result.channels.size
+        assert np.array_equal(result.att_mean, att)
+    scores = [s for b in bundles for s in b.attention_scores or []]
+    assert bool(scores) == (collect and cfg.use_attention)
+    if scores:
+        attn = sum(s.sum(axis=(0, 1)) for s in scores) / sum(s.shape[0] * s.shape[1] for s in scores)
+        assert np.array_equal(result.attention_mean, attn)
+    else:
+        assert result.attention_mean is None
+
+
+def test_inference_leaves_a_restored_checkpoint_and_its_inputs_unchanged(tiny_config, tiny_dataset, tmp_path):
+    """A restored model's parameters are views into the loaded payload, so an
+    inference forward that overwrote anything but its own temporaries would
+    corrupt the checkpoint it serves."""
+    ds, split = tiny_dataset
+    model = build_model(tiny_config, seed=0)  # untrained: no inference has run on its weights
+    path = str(tmp_path / "model.mlfckpt")
+    save_checkpoint(path, Checkpoint(tiny_config.to_dict(), model.state_arrays()))
+    ckpt = load_checkpoint(path)
+    restored = cli.restore_model(ckpt)
+    assert all(np.shares_memory(p.data, ckpt.arrays[name]) for name, p in restored.params.items())
+    # Train windows: they cross the train mean, so they hold values of both signs.
+    _, windows, _ = next(batches(ds, tiny_config, *sample_index(ds, split.train, tiny_config)))
+
+    def snapshot():
+        arrays = {f"window {i}": w for i, w in enumerate(windows)} | {"dataset": ds.values}
+        arrays |= {f"param {n}": p.data for n, p in restored.params.items()}
+        arrays |= {f"buffer {n}": b for n, b in restored.buffers.items()}
+        arrays |= {f"checkpoint {n}": a for n, a in ckpt.arrays.items()}
+        return {key: a.copy() for key, a in arrays.items()}
+
+    before = snapshot()
+    restored.forward(windows, training=False, collect_diagnostics=True)
+    evaluate(restored, ds, split, "test", collect_attention=True)
+    after = snapshot()
+    assert before.keys() == after.keys()
+    assert [key for key in before if not np.array_equal(before[key], after[key])] == []
 
 
 @pytest.fixture
