@@ -116,9 +116,10 @@ def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
     """Config, standardized dataset, split, dataset section, and the
     `data_record` of the values before standardization, of a run config that
     `load_run_config` checked."""
-    cfg = MlfConfig.from_dict(raw.get("model"))
-    if "dataset" not in raw:
-        raise ConfigError("missing required config section: dataset")
+    for key in ("model", "dataset"):
+        if key not in raw:
+            raise ConfigError(f"missing required config section: {key}")
+    cfg = MlfConfig.from_dict(raw["model"])
     section = raw["dataset"]
     if "path" in section and "synthetic" in section:
         raise ConfigError("dataset section takes 'path' or 'synthetic', not both")
@@ -325,10 +326,10 @@ def cmd_ablate(args) -> int:
     check_flag("--seeds", args.seeds, (int_at_least(1),))
     raw = load_run_config(args.config, args.set, args.seed, args.output)
     cfg, ds, split, section, _record = prepare(raw)
+    out_dir = raw["output_dir"]
+    write_resolved_config(out_dir, raw)  # before any training, so an unwritable output fails at once
     seeds = range(raw["seed"], raw["seed"] + args.seeds)
     rows = ablate(ds, split, cfg, args.flags.split(","), seeds=seeds, anchor_stride=section.get("anchor_stride", 1))
-    out_dir = raw["output_dir"]
-    write_resolved_config(out_dir, raw)
     with open(os.path.join(out_dir, "ablation.json"), "w", encoding="utf-8") as fh:
         json.dump({"rows": rows}, fh, indent=2)
     print(table(rows))

@@ -362,10 +362,10 @@ class MlfModel:
         windows: list[np.ndarray],
         *,
         training: bool,
-        collect_diagnostics: bool = False,
+        collect_attention: bool = False,
     ) -> ForecastBundle:
         """Training normalizes with batch statistics and updates the running estimates; inference
-        runs under `no_grad()`, so it records no tape. collect_diagnostics keeps attention scores."""
+        runs under `no_grad()`, so it records no tape. collect_attention keeps attention scores."""
         with nullcontext() if training else no_grad():
             cfg = self.config
             if len(windows) != cfg.n_periods:
@@ -390,13 +390,13 @@ class MlfModel:
 
             tokens = concat_periods(squeezed)  # (B, D, N_tok)
             block_forecasts: list[list[Tensor]] = []
-            attention_scores: list[np.ndarray] | None = [] if collect_diagnostics else None
+            attention_scores: list[np.ndarray] | None = [] if collect_attention else None
 
             for e, heads in enumerate(self.spp_heads):
                 z = tokens
                 if self.blocks:
-                    z, scores = self.blocks[e](tokens, training=training, collect_scores=collect_diagnostics)
-                    if collect_diagnostics:
+                    z, scores = self.blocks[e](tokens, training=training, collect_scores=collect_attention)
+                    if collect_attention:
                         attention_scores.append(scores)
                 period_blocks = split_periods(z, self.token_ranges)
                 forecasts, epsilons = zip(*(head(period_blocks[s]) for s, head in enumerate(heads)))

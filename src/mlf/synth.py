@@ -38,28 +38,26 @@ def regime_switching(
     n_channels: int = 1,
     seed: int = 0,
     *,
-    slow_period: float = 160.0,
-    fast_period: float = 6.0,
-    fast_amp: float = 1.5,
-    mean_dwell: int = 40,
-    noise: float = 0.05,
-    calm_noise: float | None = None,
+    fast_amp: float = 2.5,
+    mean_dwell: int = 50,
+    noise: float = 0.03,
+    calm_noise: float = 0.25,
 ) -> SeriesDataset:
-    """A slow sinusoid plus a fast oscillation that switches on and off.
+    """A slow sinusoid (period 160) plus a fast oscillation (period 6) that
+    switches on and off; at the defaults, the desk series.
 
-    Regime dwell times are geometric with the given mean, so stretches of
+    Regime dwell times are geometric with mean `mean_dwell`, so stretches of
     calm trend alternate with bursts of sharp fluctuation. Recent short
     history carries the burst phase; long history carries the slow trend.
-    `calm_noise` (defaults to `noise`) sets the noise level outside bursts,
-    so the regimes can differ in which history length is trustworthy.
+    The noise is `noise` in bursts and `calm_noise` outside them, so the
+    regimes differ in which history length is trustworthy. The keywords
+    remain because `bench/` passes all four, which pins its series.
     """
     rng = np.random.default_rng(seed)
     t = np.arange(n_steps, dtype=np.float64)
     values = np.empty((n_steps, n_channels))
-    if calm_noise is None:
-        calm_noise = noise
     for c in range(n_channels):
-        slow = np.sin(2.0 * np.pi * t / slow_period + rng.uniform(0.0, 2.0 * np.pi))
+        slow = np.sin(2.0 * np.pi * t / 160.0 + rng.uniform(0.0, 2.0 * np.pi))
         gate = np.zeros(n_steps)
         pos, state = 0, rng.integers(0, 2)
         while pos < n_steps:
@@ -67,15 +65,13 @@ def regime_switching(
             gate[pos : pos + dwell] = state
             state = 1 - state
             pos += dwell
-        fast = fast_amp * np.sin(2.0 * np.pi * t / fast_period + rng.uniform(0.0, 2.0 * np.pi))
+        fast = fast_amp * np.sin(2.0 * np.pi * t / 6.0 + rng.uniform(0.0, 2.0 * np.pi))
         sigma = gate * noise + (1.0 - gate) * calm_noise
         values[:, c] = slow + gate * fast + sigma * rng.standard_normal(n_steps)
     return _wrap(values, "regime")
 
 
-def seasonal_multichannel(
-    n_steps: int = 17420, n_channels: int = 7, seed: int = 0, noise: float = 0.3
-) -> SeriesDataset:
+def seasonal_multichannel(n_steps: int = 17420, n_channels: int = 7, seed: int = 0) -> SeriesDataset:
     """Hourly-flavored stand-in for the public electricity-temperature files:
     daily and weekly harmonics, slow drift, channel-specific mixing."""
     rng = np.random.default_rng(seed)
@@ -93,7 +89,7 @@ def seasonal_multichannel(
             + w[1] * daily2
             + w[2] * weekly
             + w[3] * drift
-            + noise * rng.standard_normal(n_steps)
+            + 0.3 * rng.standard_normal(n_steps)
         )
     return _wrap(values, "ch")
 

@@ -193,7 +193,7 @@ def evaluate(
     attn_count = 0
 
     for sel, windows, batch_targets in batches(ds, cfg, channels, anchors):
-        bundle = model.forward(windows, training=False, collect_diagnostics=collect_attention)
+        bundle = model.forward(windows, training=False, collect_attention=collect_attention)
         preds[sel] = bundle.forecast.data
         targets[sel] = batch_targets
         if bundle.att is not None:

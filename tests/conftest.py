@@ -1,11 +1,17 @@
 """Shared fixtures: small configs and datasets that train in seconds."""
 
-import numpy as np
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from mlf.data import SplitRanges, split_dataset, standardize
 from mlf.model import MlfConfig
-from mlf.synth import linear_trend, regime_switching
+from mlf.synth import generate, linear_trend
+
+# The desk experiment, as `mlf ablate` and `mlf train` read it.
+DESK_PATH = Path(__file__).resolve().parents[1] / "experiments" / "desk.json"
 
 
 @pytest.fixture
@@ -41,26 +47,17 @@ def overfit_dataset():
     return standardize(ds, split), split
 
 
-def regime_dataset(n_steps=3000, seed=7):
-    """The regime-switching series used by the comparison experiments."""
-    return regime_switching(
-        n_steps, 1, seed=seed, fast_amp=2.5, mean_dwell=50, noise=0.03, calm_noise=0.25
-    )
+def desk_experiment() -> dict:
+    """The run config of experiments/desk.json."""
+    return json.loads(DESK_PATH.read_text(encoding="utf-8"))
 
 
-def regime_config(periods=(8, 24, 64), horizon=4, epochs=16):
-    """Desk-scale base config for the regime experiments."""
-    return MlfConfig(
-        period_lengths=periods,
-        horizon=horizon,
-        n_patches=8,
-        squeeze_factor=2,
-        d_model=8,
-        n_heads=4,
-        n_blocks=2,
-        d_ff=16,
-        conv_filters=8,
-        learning_rate=1e-3,
-        batch_size=64,
-        epochs=epochs,
-    )
+def regime_dataset(**changes):
+    """The desk series: the experiment's `dataset.synthetic` section, with
+    `changes` to its fields (such as `n_steps`)."""
+    return generate(**{**desk_experiment()["dataset"]["synthetic"], **changes})
+
+
+def regime_config(**changes):
+    """The desk model config of the experiment, with `changes` applied."""
+    return replace(MlfConfig.from_dict(desk_experiment()["model"]), **changes)

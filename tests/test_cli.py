@@ -12,7 +12,11 @@ import pytest
 
 from mlf import cli
 from mlf.checkpoint import load_checkpoint, save_checkpoint
-from mlf.data import load_csv
+from mlf.data import load_csv, split_dataset, standardize
+from mlf.model import apply_ablation, build_model
+from mlf.training import evaluate, train
+
+from conftest import DESK_PATH, regime_config, regime_dataset
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +101,21 @@ def test_synth_data_defaults_are_generates(tmp_path, capsys):
     assert code == 0, err
     write_csv(generate(), str(reference))
     assert out.read_bytes() == reference.read_bytes()
+    # `regime-switch` at its defaults is the desk series.
+    code, _, err = run_cli(capsys, "synth-data", "--kind", "regime-switch", "--rows", "3000", "--seed", "7",
+                           "--output", str(out))
+    assert code == 0, err
+    write_csv(regime_dataset(n_steps=3000), str(reference))
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_the_desk_series_is_the_benchmarks_explicit_call():
+    # The benchmark spells out the generator's arguments; this is its call.
+    from mlf.synth import regime_switching
+
+    for n in (3000, 1500):
+        bench = regime_switching(n, 1, seed=7, fast_amp=2.5, mean_dwell=50, noise=0.03, calm_noise=0.25)
+        assert np.array_equal(regime_dataset(n_steps=n).values, bench.values)
 
 
 def test_train_produces_artifacts(trained):
@@ -370,6 +389,37 @@ def test_ablate_runs_the_seeds_and_anchor_stride_of_the_run_config(toy_run, tmp_
     assert read_json(ablate_dir / "ablation.json")["rows"][0]["mse_per_seed"] == [trained_mse]
 
 
+def test_ablate_runs_the_desk_experiment_as_the_library_does(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "ablate", str(DESK_PATH), "--set", "model.epochs=1",
+                           "--set", "dataset.synthetic.n_steps=1500", "--seeds", "2", "--flags", "irf",
+                           "--output", str(out_dir))
+    assert code == 0, err
+    rows = read_json(out_dir / "ablation.json")["rows"]
+    raw, cfg = regime_dataset(n_steps=1500), regime_config(epochs=1)
+    split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    ds = standardize(raw, split)
+    assert [r["variant"] for r in rows] == ["base", "w/o irf"]
+    for row, variant in zip(rows, (cfg, apply_ablation(cfg, "irf"))):
+        mses = []
+        for seed in (0, 1):
+            model = build_model(variant, seed=seed)
+            train(model, ds, split, seed=seed)
+            mses.append(evaluate(model, ds, split, "test").report_normalized.mse)
+        assert row["mse_per_seed"] == mses, row["variant"]
+
+
+def test_ablate_with_an_unwritable_output_fails_before_training(toy_run, tmp_path, capsys, monkeypatch):
+    path, _ = toy_run
+    calls = []
+    monkeypatch.setattr(cli, "ablate", lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "ablate", str(path), "--flags", "irf", "--output", str(blocker / "out"))
+    assert (code, calls, out) == (1, [], "")
+    assert err.startswith("error[io]:") and err.count("\n") == 1, err
+
+
 def test_ablate_unknown_flag(toy_run, capsys):
     path, _ = toy_run
     code, _, err = run_cli(capsys, "ablate", str(path), "--flags", "nonsense")
@@ -509,6 +559,8 @@ def dataset_config(tmp_path, dataset):
          "dataset must be an object, got None"),
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"model": TOY_MODEL}))],
          "missing required config section: dataset"),
+        ("config", lambda tmp: ["train", config_file(tmp, json.dumps({"dataset": {"synthetic": {}}}))],
+         "missing required config section: model"),
         ("config", lambda tmp: ["train", config_file(tmp, json.dumps(
             {"model": TOY_MODEL, "dataset": {"path": str(tmp / "absent.csv"), "synthetic": {}}}))],
          "dataset section takes 'path' or 'synthetic', not both"),
@@ -545,7 +597,7 @@ def dataset_config(tmp_path, dataset):
          "usage-rows-negative", "usage-channels-zero", "usage-synth-seed-negative", "usage-seed-negative",
          "usage-output-empty", "config-seed-text", "config-output-dir-number", "data-not-utf8-forecast",
          "data-not-utf8-eval", "data-field-too-long", "config-not-utf8", "config-dataset-number",
-         "config-dataset-null", "config-dataset-missing", "config-dataset-path-and-synthetic",
+         "config-dataset-null", "config-dataset-missing", "config-model-missing", "config-dataset-path-and-synthetic",
          "config-dataset-format-without-path", "io-export-path", "checkpoint-missing", "checkpoint-header-not-object",
          "data-empty-file", "data-date-column-only", "data-fund-columns-missing", "config-dataset-empty",
          "data-train-stats-overflow", "data-normalized-overflow", "usage-synth-kind-unknown",

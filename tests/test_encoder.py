@@ -296,7 +296,7 @@ def test_attention_rows_sum_to_one_in_model():
     model = build_model(TOY, seed=0)
     rng = np.random.default_rng(10)
     windows = [rng.standard_normal((3, n)) for n in TOY.period_lengths]
-    bundle = model.forward(windows, training=True, collect_diagnostics=True)
+    bundle = model.forward(windows, training=True, collect_attention=True)
     for scores in bundle.attention_scores:
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) <= 1e-6
 

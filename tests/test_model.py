@@ -128,7 +128,7 @@ def test_forward_shapes_full_trace():
     )
     model = build_model(cfg, seed=0)
     windows = toy_windows(2, 1, cfg)
-    bundle = model.forward(windows, training=True, collect_diagnostics=True)
+    bundle = model.forward(windows, training=True, collect_attention=True)
     assert bundle.forecast.shape == (2, 5)
     assert len(bundle.period_forecasts) == 6
     assert bundle.att.shape == (2, 6, 5)

@@ -268,7 +268,7 @@ def test_evaluation_attention_export_is_row_stochastic(tiny_config, tiny_dataset
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-6
 
 
-def taped_batches(model, ds, split_range, monkeypatch, collect_diagnostics=False):
+def taped_batches(model, ds, split_range, monkeypatch, collect_attention=False):
     """The inference forward of `evaluate`, batch by batch, with the tape
     recording: `forward`'s `no_grad` is swapped for a null context until the
     test ends."""
@@ -278,7 +278,7 @@ def taped_batches(model, ds, split_range, monkeypatch, collect_diagnostics=False
     for lo in range(0, channels.size, cfg.batch_size):
         sel = slice(lo, lo + cfg.batch_size)
         windows, _ = gather_batch(ds, channels[sel], anchors[sel], list(cfg.period_lengths), cfg.horizon)
-        bundle = model.forward(windows, training=False, collect_diagnostics=collect_diagnostics)
+        bundle = model.forward(windows, training=False, collect_attention=collect_attention)
         assert bundle.forecast.requires_grad
         yield bundle
 
@@ -335,7 +335,7 @@ def test_inference_leaves_a_restored_checkpoint_and_its_inputs_unchanged(tiny_co
         return {key: a.copy() for key, a in arrays.items()}
 
     before = snapshot()
-    restored.forward(windows, training=False, collect_diagnostics=True)
+    restored.forward(windows, training=False, collect_attention=True)
     evaluate(restored, ds, split, "test", collect_attention=True)
     after = snapshot()
     assert before.keys() == after.keys()
@@ -389,14 +389,14 @@ def test_kappa_partition_analysis_on_regime_data():
     samples best served by the short history show the sharpest futures."""
     from kappa import kappa_by_best_period
 
-    ds0 = regime_dataset(2200)
+    ds0 = regime_dataset(n_steps=2200)
     period_lengths = [8, 24, 64]
     split = split_dataset(ds0, "ratio", min_history=64, horizon=1)
     ds = standardize(ds0, split)
 
     per_period_errors = []
     for n in period_lengths:
-        cfg = regime_config(periods=(n,), horizon=1, epochs=6)
+        cfg = regime_config(period_lengths=(n,), horizon=1, epochs=6)
         model = build_model(cfg, seed=0)
         train(model, ds, split, seed=0)
         result = evaluate(model, ds, split, "test")

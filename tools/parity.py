@@ -13,8 +13,9 @@ file is imported, whatever the working directory. So a line of an older tree
 that lacks a key this file adds (such as `scores`) comes from running this
 file copied into that tree's export, as long as that tree has every name this
 file calls. A tree whose `SeriesDataset` has no `format` field cannot run this
-file; compare with the line that its own `tools/parity.py` prints, which
-digests the same reports.
+file, nor can a tree without `experiments/desk.json`, whose `regime-switch`
+defaults give another series; compare with the line that its own
+`tools/parity.py` prints, which digests the same reports and series.
 
 A change of `checkpoint.FORMAT_VERSION` that keeps every value moves exactly
 the 8 `*/checkpoint` digests, which hash the saved file's bytes; the forecast
@@ -23,17 +24,17 @@ also moves the `gradients` and `restored_state` digests of each variant it
 touches, since both hash every tensor by name; to show that it keeps every
 value, compare those tensors name by name.
 
-It covers the desk config on regime-switching data, as base and with each
-ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and `reconstruction_loss`),
-and the paper-default config on 7-channel seasonal data, as base and
-`w/o lwi`, with short step-capped runs: 8 cases of 14 digests each, 112 in
-all. A run takes about 12 s on a 2-core VM with one BLAS thread. For each
-case it digests the raw gradients of one `backward` on the first training
-batch of the freshly built model (before clipping and Adam), the train step losses,
-the epoch train and validation losses, `validation_loss`, the `evaluate`
-predictions, LWI weight mean and attention mean, the scored test split, the
-checkpoint bytes, and the CSV bytes that `mlf forecast` writes from that
-checkpoint. `scores` hashes the JSON text of the test split's
+It covers the desk experiment of `experiments/desk.json` at 1500 rows, as
+base and with each ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and
+`reconstruction_loss`), and the paper-default config on 7-channel seasonal
+data, as base and `w/o lwi`, with short step-capped runs: 8 cases of 14
+digests each, 112 in all. A run takes about 12 s on a 2-core VM with one
+BLAS thread. For each case it digests the raw gradients of one `backward` on
+the first training batch of the freshly built model (before clipping and
+Adam), the train step losses, the epoch train and validation losses,
+`validation_loss`, the `evaluate` predictions, LWI weight mean and attention
+mean, the scored test split, the checkpoint bytes, and the CSV bytes that
+`mlf forecast` writes from that checkpoint. `scores` hashes the JSON text of the test split's
 `evaluate(...).to_dict()`, on the dataset as built and on
 `replace(ds, format="fund")`, whose original-unit WMAPE is summed per
 channel: every reported number, per horizon step, in original units, the
@@ -64,7 +65,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -73,18 +75,16 @@ from mlf.autograd import backward  # noqa: E402
 from mlf.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
 from mlf.model import MlfConfig, apply_ablation, build_model, mlf_loss  # noqa: E402
-from mlf.synth import regime_switching, seasonal_multichannel, write_csv  # noqa: E402
+from mlf.synth import generate, seasonal_multichannel, write_csv  # noqa: E402
 
-DESK = MlfConfig(
-    period_lengths=(8, 24, 64), horizon=4, n_patches=8, squeeze_factor=2, d_model=8, n_heads=4,
-    n_blocks=2, d_ff=16, conv_filters=8, learning_rate=1e-3, batch_size=64, epochs=3, max_steps=40,
-)
+EXPERIMENT = json.loads((ROOT / "experiments" / "desk.json").read_text(encoding="utf-8"))
+DESK = replace(MlfConfig.from_dict(EXPERIMENT["model"]), epochs=3, max_steps=40)
 PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24, batch_size=32, epochs=2, max_steps=3)
 
 # Name -> (config, data, ablation flags run as `w/o <flag>` variants besides base).
 CASES = {
-    "desk": (DESK, lambda: regime_switching(1500, 1, seed=7, fast_amp=2.5, mean_dwell=50, noise=0.03,
-                                            calm_noise=0.25), ("lwi", "irf", "map", "ma", "reconstruction_loss")),
+    "desk": (DESK, lambda: generate(**{**EXPERIMENT["dataset"]["synthetic"], "n_steps": 1500}),
+             ("lwi", "irf", "map", "ma", "reconstruction_loss")),
     "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",)),
 }
 SEED = 3
