@@ -37,6 +37,19 @@ shapes (numpy would broadcast), narrow refuses a range past the axis (numpy
 would clip the slice), and backward refuses a non-scalar loss, a loss that
 needs no gradient and a graph it has already walked.
 
+`in_halves` runs a row-independent function over the two halves of a
+batch, one on a persistent worker thread and one on the caller, and joins
+the results bit for bit as the whole batch gives them. Three spans of the
+model use it, each inside its own body: `EncoderBlock.__call__`,
+`PeriodDecoder.__call__` and the conv/batch-norm/pool features of
+`WeightIntegrator.__call__`. They split only at inference (nothing records,
+and batch norm reads its running estimates), from 2 rows up, and only when
+the span's largest temporary holds at least SPLIT_FLOOR (2**18) elements.
+The paper config splits all three at batch 128, and none at batch 32 or in
+a forecast; the desk config at batch 64 splits none. The 2-D GEMMs whose row
+count is the batch (SPP heads, IRF branches, the LWI gate) round by their
+row count, so they always run on the whole batch.
+
 No primitive checks its output for NaN or Inf. Non-finite numbers are stopped
 where they enter: CSV cells, run-config fields and checkpoint tensors are
 checked when they are read.
@@ -44,6 +57,10 @@ checked when they are read.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,8 +70,9 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with an operation."""
 
 
-# Tape recording. Off only inside `no_grad()`.
-_GRAD_ENABLED = True
+# Tape recording. Off only inside `no_grad()`, and only in the context (the
+# thread, or a copy of its context) that entered it.
+_GRAD_ENABLED = contextvars.ContextVar("mlf_grad_enabled", default=True)
 
 
 @contextmanager
@@ -63,15 +81,14 @@ def no_grad():
 
     Primitive outputs get no parents, no vjp and requires_grad=False, so the
     block's results cannot be differentiated. Nests; the previous mode is
-    restored on exit, also when the block raises.
+    restored on exit, also when the block raises. The mode is a context
+    variable, so a block entered on one thread leaves recording on in others.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 class _Fn:
@@ -159,7 +176,7 @@ def _lift(value) -> Tensor:
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
     """Whether the output of a primitive over `parents` goes on the tape."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -529,3 +546,73 @@ def backward(loss: Tensor) -> None:
             else:
                 adjoint[key] = pg
 
+
+# -- batch halves on two threads ------------------------------------------------
+
+# in_halves splits a batch only when the span's largest temporary holds at least
+# this many elements. Small spans are bound by Python and the GIL, where the halves
+# lose (a desk forward at batch 64 took 2.7 ms whole and 4.3 ms split, 2-core VM,
+# one BLAS thread); this floor also keeps the paper config's batch of 32 whole.
+SPLIT_FLOOR = 2**18
+
+_worker_pool: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one persistent worker thread, started on first use."""
+    global _worker_pool
+    with _worker_lock:
+        if _worker_pool is None:
+            _worker_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlf-half")
+        return _worker_pool
+
+
+def _forget_worker() -> None:
+    """In a forked child the worker's thread is gone, and `submit` to its
+    executor would wait forever: the child starts its own on first use."""
+    global _worker_pool, _worker_lock
+    _worker_pool, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; without fork there is no child to mend
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False):
+    """`fn(x)`, computed as `fn` of x's two halves along the batch axis, one on
+    the worker thread and one on the caller, joined along the batch axis.
+
+    `fn` must compute each row of its input on its own: stacked `W @ x`,
+    elementwise ops, inference batch norm, row softmax, one-input-channel
+    conv and pooling. Then the joined result equals `fn(x)` bit for bit, and
+    since numpy's BLAS and ufunc loops release the GIL at this size, the two
+    halves run on two cores. It splits only when nothing records, `training`
+    is False (batch norm's batch statistics couple the rows), x has at least
+    2 rows, and the largest temporary of `fn`, `row_elements` per row, holds
+    at least SPLIT_FLOOR elements; otherwise it returns `fn(x)`.
+
+    `fn` returns a Tensor, an array, None, or a tuple of these; each is
+    joined along its first axis. The worker runs in a copy of the caller's
+    context, so it sees the caller's grad mode and `np.errstate`, and it
+    opens no span of its own. An exception of the worker's half re-raises
+    here; if the caller's half raises, the worker's half is waited for first.
+    """
+    rows = x.shape[0]
+    if training or _GRAD_ENABLED.get() or rows < 2 or rows * row_elements < SPLIT_FLOOR:
+        return fn(x)
+    half = rows // 2
+    future = _worker().submit(contextvars.copy_context().run, fn, Tensor(x.data[half:]))
+    try:
+        first = fn(Tensor(x.data[:half]))
+    finally:
+        future.exception()  # waits for the worker's half
+    return _join(first, future.result())
+
+
+def _join(a, b):
+    if isinstance(a, tuple):
+        return tuple(_join(p, q) for p, q in zip(a, b))
+    if isinstance(a, Tensor):
+        return Tensor(np.concatenate([a.data, b.data]))
+    return None if a is None else np.concatenate([a, b])

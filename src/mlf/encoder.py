@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, add, concat, matmul, mul, relu, reshape, softmax, transpose
+from .autograd import Tensor, add, concat, in_halves, matmul, mul, relu, reshape, softmax, transpose
 from .layers import BatchNorm, ChannelLinear, Linear, ParamStore
 
 
@@ -40,6 +40,7 @@ class EncoderBlock:
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
+        self.d_ff = d_ff
         bound = 1.0 / np.sqrt(d_model)
         stacked = (n_heads, d_model, self.d_k)
         self.w_q = store.uniform(f"{name}.wq", stacked, bound)
@@ -60,13 +61,24 @@ class EncoderBlock:
     def __call__(
         self, x: Tensor, *, training: bool, collect_scores: bool = False
     ) -> tuple[Tensor, np.ndarray | None]:
-        """Returns (z, scores); scores is (H, B, N, N) when collected."""
+        """Returns (z, scores); scores is (H, B, N, N) when collected. Every
+        row is its own at inference, so a large batch runs in two halves."""
+        n_tok = x.shape[-1]
+        largest = max(self.d_model, self.d_ff, self.n_heads * n_tok) * n_tok  # per row: v, ff hidden, scores
+        z, scores = in_halves(
+            lambda half: self._attend(half, training=training, collect_scores=collect_scores),
+            x, largest, training=training,
+        )
+        return z, None if scores is None else scores.swapaxes(0, 1)
+
+    def _attend(self, x: Tensor, *, training: bool, collect_scores: bool) -> tuple[Tensor, np.ndarray | None]:
+        """The block on its own input: (z, scores as (B, H, N, N) or None)."""
         batch, _, n_tok = x.shape
         q, k, v = (self._heads(w, x) for w in (self.w_q, self.w_k, self.w_v))
         scale = Tensor(1.0 / np.sqrt(self.d_k))
         scores = softmax(mul(matmul(transpose(q), k), scale, consume=True), consume=True)  # (B, H, N, N)
         merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
-        kept = scores.data.swapaxes(0, 1) if collect_scores else None
+        kept = scores.data if collect_scores else None
         del q, k, v, scores  # only the tape, if any, keeps them through the feed-forward
         # The fresh branch goes first in each residual add: `consume` may overwrite only that operand.
         u = self.norm_attn(add(matmul(transpose(self.w_out), merged), x, consume=True), training=training)

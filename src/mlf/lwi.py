@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, average, conv1d, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
+from .autograd import Tensor, average, conv1d, in_halves, max_pool1d, mul, narrow, reshape, sigmoid, tanh, transpose
 from .layers import BatchNorm, ParamStore
 
 CONV_KERNEL = 3
@@ -38,6 +38,7 @@ class WeightIntegrator:
         self.conv_b = store.uniform(f"{name}.conv.b", (conv_filters,), bound)
         self.norm = BatchNorm(store, f"{name}.bn", conv_filters)
         self.feature_len = conv_filters * (window_len // 2)
+        self.conv_len = conv_filters * window_len  # per row: the conv output, features' largest temporary
         # Weight matrices are stored (S*m, feature_len) and transposed in the
         # forward pass.
         out = n_periods * horizon
@@ -67,7 +68,11 @@ class WeightIntegrator:
         return reshape(gated, (batch, self.n_periods, self.horizon))
 
     def __call__(self, window: Tensor, *, training: bool) -> Tensor:
-        return self.weights(self.features(window, training=training))
+        """The features of each row are its own at inference, so a large batch
+        runs them in two halves; the gate's GEMMs take the whole batch."""
+        features = in_halves(lambda half: self.features(half, training=training), window, self.conv_len,
+                             training=training)
+        return self.weights(features)
 
 
 def integrate(period_forecasts: list[Tensor], att: Tensor) -> Tensor:

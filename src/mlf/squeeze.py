@@ -9,7 +9,7 @@ surviving tokens to keep the period's information.
 
 from __future__ import annotations
 
-from .autograd import Tensor, average, concat, mse, narrow, relu
+from .autograd import Tensor, average, concat, in_halves, mse, narrow, relu
 from .layers import ChannelLinear, Linear, ParamStore
 
 
@@ -47,8 +47,14 @@ class PeriodDecoder:
         hidden_l = max(d_model, patch_len)
         self.len_in = ChannelLinear(store, f"{name}.len_in", d_model, hidden_l)
         self.len_out = ChannelLinear(store, f"{name}.len_out", hidden_l, patch_len)
+        self.largest = max(d_model * hidden_n, hidden_l * n_patches)  # per row: the larger hidden activation
 
     def __call__(self, x: Tensor) -> Tensor:
+        """Every row is its own and no batch norm reads batch statistics, so a
+        large batch runs in two halves whenever nothing records."""
+        return in_halves(self._decode, x, self.largest)
+
+    def _decode(self, x: Tensor) -> Tensor:
         # (B, D, N/r) -> (B, D, N) -> (B, L, N)
         h = self.count_out(relu(self.count_in(x), consume=True))
         return self.len_out(relu(self.len_in(h), consume=True))

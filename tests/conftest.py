@@ -61,3 +61,18 @@ def regime_dataset(**changes):
 def regime_config(**changes):
     """The desk model config of the experiment, with `changes` applied."""
     return replace(MlfConfig.from_dict(desk_experiment()["model"]), **changes)
+
+
+@pytest.fixture
+def worker_calls(monkeypatch):
+    """Counts the batches that `autograd.in_halves` hands its worker thread while the test runs."""
+    from mlf import autograd
+
+    calls, worker = [], autograd._worker
+
+    def counted():
+        calls.append(1)
+        return worker()
+
+    monkeypatch.setattr(autograd, "_worker", counted)
+    return calls

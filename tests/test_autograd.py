@@ -1,6 +1,8 @@
 """Primitive-level checks for the autodiff engine: hand examples, finite
 differences over many random seeds, and a sum-over-paths reference for DAGs."""
 
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -16,6 +18,7 @@ from mlf.autograd import (
     batch_norm,
     concat,
     conv1d,
+    in_halves,
     matmul,
     max_pool1d,
     mse,
@@ -291,6 +294,66 @@ def test_no_grad_is_restored_after_an_exception():
             raise RuntimeError("raised inside no_grad")
     y = mul(x, x)
     assert y.requires_grad and y._fn.parents == (x, x)
+
+
+def test_no_grad_holds_only_on_its_own_thread_and_reaches_the_split_worker(monkeypatch, worker_calls):
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    seen = {}
+
+    def elsewhere():
+        seen["other thread records"] = mul(x, x).requires_grad
+
+    def half(t):
+        seen.setdefault("halves", []).append((threading.get_ident(), autograd._GRAD_ENABLED.get()))
+        return mul(t, x)
+
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    with no_grad():
+        thread = threading.Thread(target=elsewhere)
+        thread.start()
+        thread.join(timeout=10)
+        out = in_halves(half, Tensor(np.arange(8.0).reshape(4, 2)), 1)
+    assert not thread.is_alive() and seen["other thread records"]
+    assert worker_calls == [1] and not out.requires_grad
+    assert np.array_equal(out.data, np.arange(8.0).reshape(4, 2) * [1.0, 2.0])
+    (caller, caller_mode), (worker, worker_mode) = sorted(seen["halves"], key=lambda h: h[0] != threading.get_ident())
+    assert caller == threading.get_ident() != worker
+    assert caller_mode is worker_mode is False
+
+
+def test_in_halves_splits_only_a_large_enough_inference_batch(monkeypatch, worker_calls):
+    def double(t):
+        return mul(t, Tensor(2.0))
+
+    x = Tensor(np.ones((4, 3)))
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 12)
+    with no_grad():
+        in_halves(double, x, 2)  # 8 elements
+        in_halves(double, Tensor(np.ones((1, 3))), 100)  # one row
+        in_halves(double, x, 3, training=True)  # batch norm would read batch statistics
+        assert worker_calls == []
+        in_halves(double, x, 3)
+        assert worker_calls == [1]
+    in_halves(double, x, 3)  # recording is on
+    assert worker_calls == [1]
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_an_exception_of_either_half_reaches_the_caller_once_both_halves_are_done(monkeypatch, raising):
+    """The worker takes the second half, the caller the first."""
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    done = []
+
+    def half(t):
+        if (t.data[0, 0] == 0) == (raising == "caller"):
+            raise ArithmeticError(f"{raising} half")
+        time.sleep(0.05)
+        done.append(t.data[0, 0])
+        return t
+
+    with no_grad(), pytest.raises(ArithmeticError, match=f"{raising} half"):
+        in_halves(half, Tensor(np.arange(4.0)[:, None]), 1)
+    assert done == ([0.0] if raising == "worker" else [2.0])
 
 
 # Each primitive that takes `consume`, as f(operand, param, consume): the

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlf import cli
+from mlf import autograd, cli
 from mlf.checkpoint import load_checkpoint, save_checkpoint
 from mlf.data import load_csv, split_dataset, standardize
 from mlf.model import apply_ablation, build_model
@@ -687,19 +687,35 @@ def test_seeded_header_and_csv_edits_print_one_error_line_or_a_finite_result(tmp
     assert codes == {0, 1}
 
 
-@pytest.mark.parametrize("command", ["eval", "forecast"])
-def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_path, capsys, command):
-    path = save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM)
+def save_overflowing_checkpoint(path):
+    """A toy checkpoint whose finite weights give a non-finite forecast. Returns the path."""
+    path = save_toy_checkpoint(path, TOY_NORM)
     ckpt = load_checkpoint(path)
     for s in range(len(TOY_MODEL["period_lengths"])):
-        ckpt.arrays[f"embed.p{s}.proj"] *= 1e300  # finite weights, non-finite forecast
+        ckpt.arrays[f"embed.p{s}.proj"] *= 1e300
     save_checkpoint(path, ckpt)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_weights_that_overflow_are_one_metric_error_line_and_write_nothing(tmp_path, capsys, command):
+    path = save_overflowing_checkpoint(tmp_path / "m.ckpt")
     out_csv = tmp_path / "forecast.csv"
     argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
     code, out, err = run_cli(capsys, *argv, *(["--output", str(out_csv)] if command == "forecast" else []))
     assert code == 1
     assert err == "error[metric]: predictions hold NaN or Inf\n"
     assert out == "" and not out_csv.exists()
+
+
+def test_a_forward_run_in_halves_keeps_the_overflow_policy(tmp_path, capsys, monkeypatch, worker_calls):
+    """The worker's half runs in the caller's context, under `cli.main`'s
+    `np.errstate`: an overflow warning there would raise under pytest's
+    warning filter instead of leaving the one line."""
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    argv = ["eval", save_overflowing_checkpoint(tmp_path / "m.ckpt"), "--data", write_history(tmp_path / "d.csv", 160)]
+    assert run_cli(capsys, *argv) == (1, "", "error[metric]: predictions hold NaN or Inf\n")
+    assert worker_calls
 
 
 @pytest.mark.parametrize("command", [["train"], ["ablate", "--flags", "lwi"]], ids=["train", "ablate"])
@@ -725,11 +741,7 @@ def test_data_that_overflows_when_normalized_prints_one_stderr_line_when_run_as_
 @pytest.mark.parametrize("command", ["eval", "forecast"])
 def test_weights_that_overflow_print_one_stderr_line_when_run_as_a_program(tmp_path, command):
     """In its own process, where numpy prints its warnings; under pytest they raise instead."""
-    path = save_toy_checkpoint(tmp_path / "m.ckpt", TOY_NORM)
-    ckpt = load_checkpoint(path)
-    for s in range(len(TOY_MODEL["period_lengths"])):
-        ckpt.arrays[f"embed.p{s}.proj"] *= 1e300
-    save_checkpoint(path, ckpt)
+    path = save_overflowing_checkpoint(tmp_path / "m.ckpt")
     argv = [command, path, "--data", write_history(tmp_path / "d.csv", 160)]
     argv += ["--output", str(tmp_path / "f.csv")] if command == "forecast" else []
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONWARNINGS="default")

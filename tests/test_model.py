@@ -1,5 +1,7 @@
 """Config validation, forward-pass contracts, loss decomposition, ablations."""
 
+import multiprocessing
+import warnings
 import weakref
 from dataclasses import replace
 from fnmatch import fnmatch
@@ -7,8 +9,9 @@ from fnmatch import fnmatch
 import numpy as np
 import pytest
 
+from mlf import autograd
 from mlf import model as model_module
-from mlf.autograd import ShapeError, backward, mse
+from mlf.autograd import ShapeError, backward, mse, no_grad
 from mlf.encoder import EncoderBlock, SppHead
 from mlf.model import (
     ABLATION_FLAGS,
@@ -276,6 +279,57 @@ def test_the_inference_forward_frees_its_temporaries(monkeypatch):
     first.ff_in = enter_ff
     model.forward(toy_windows(batch=16, cfg=cfg), training=False)
     assert dead == {"embedded": [True] * cfg.n_periods, "qkv": [True] * 3}
+
+
+# -- batch halves on two threads ----------------------------------------------------
+
+PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24)
+
+
+@pytest.mark.parametrize(
+    "name, batch, splits", [("desk", 64, False), ("paper", 7, False), ("paper", 32, False), ("paper", 128, True)]
+)
+def test_only_a_large_inference_batch_starts_the_split_worker(worker_calls, name, batch, splits):
+    """At paper batch 128 each block, each decoder and the LWI features split once."""
+    cfg = regime_config() if name == "desk" else PAPER
+    build_model(cfg, seed=0).forward(toy_windows(batch, cfg=cfg), training=False)
+    assert len(worker_calls) == (cfg.n_blocks + cfg.n_periods + 1 if splits else 0)
+
+
+def test_a_training_forward_under_no_grad_normalizes_over_the_whole_batch(monkeypatch):
+    """Its batch norms read batch statistics, so the blocks and the LWI
+    features run on the whole batch however large it is."""
+    windows = toy_windows(batch=9)
+    runs = []
+    for floor in (autograd.SPLIT_FLOOR, 0):
+        monkeypatch.setattr(autograd, "SPLIT_FLOOR", floor)
+        model = build_model(TOY, seed=0)
+        with no_grad():
+            forecast = model.forward(windows, training=True).forecast.data
+        runs.append([forecast, *model.buffers.values()])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_a_forked_child_runs_a_split_forward(monkeypatch, worker_calls):
+    """The child inherits the parent's started worker without its thread,
+    and starts its own."""
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    model, windows = build_model(TOY, seed=0), toy_windows(batch=8)
+    expected = model.forward(windows, training=False).forecast.data
+    assert worker_calls
+
+    def child():
+        assert np.array_equal(model.forward(windows, training=False).forecast.data, expected)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    with warnings.catch_warnings():  # Python 3.12+ warns when a process with threads forks, as this test must
+        warnings.simplefilter("ignore", DeprecationWarning)
+        process.start()
+    process.join(timeout=60)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=10)
+    assert process.exitcode == 0
 
 
 # -- ablation switches -------------------------------------------------------------

@@ -297,7 +297,12 @@ def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset, m
         cfg = apply_ablation(replace(cfg, period_lengths=(8, 16)) if flag == "map" else cfg, flag)
     model = build_model(cfg, seed=0)
     train(model, ds, split, seed=0)
+    assert_evaluate_equals_a_taped_forward(model, ds, split, monkeypatch, collect)
 
+
+def assert_evaluate_equals_a_taped_forward(model, ds, split, monkeypatch, collect):
+    """`evaluate`'s test-split predictions and means equal those of the taped forward, bit for bit."""
+    cfg = model.config
     result = evaluate(model, ds, split, "test", collect_attention=collect)
     bundles = list(taped_batches(model, ds, split.test, monkeypatch, collect))
     assert np.array_equal(result.predictions, np.concatenate([b.forecast.data for b in bundles]))
@@ -311,6 +316,31 @@ def test_tape_free_inference_equals_a_taped_forward(tiny_config, tiny_dataset, m
         assert np.array_equal(result.attention_mean, attn)
     else:
         assert result.attention_mean is None
+
+
+MID_CONFIG = MlfConfig(
+    period_lengths=(16, 32, 64), horizon=4, n_patches=16, squeeze_factor=4, d_model=16, n_heads=4,
+    n_blocks=2, d_ff=32, conv_filters=4, batch_size=32, max_steps=3,
+)
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["scores_off", "scores_on"])
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS], ids=["base", *(f"wo_{f}" for f in ABLATION_FLAGS)])
+@pytest.mark.parametrize("size", ["desk", "mid"])
+def test_a_batch_run_in_halves_equals_a_taped_forward(monkeypatch, worker_calls, size, flag, collect):
+    """With the floor at 0, every batch of 2 rows or more runs each block,
+    decoder and LWI feature stack in two halves on two threads; the taped
+    forward records, so it never splits. Both give the same bits."""
+    cfg = regime_config(max_steps=3) if size == "desk" else MID_CONFIG
+    cfg = cfg if flag is None else apply_ablation(cfg, flag)
+    raw = regime_dataset(n_steps=600)
+    split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    ds = standardize(raw, split)
+    model = build_model(cfg, seed=0)
+    train(model, ds, split, seed=0)
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    assert_evaluate_equals_a_taped_forward(model, ds, split, monkeypatch, collect)
+    assert worker_calls
 
 
 def test_inference_leaves_a_restored_checkpoint_and_its_inputs_unchanged(tiny_config, tiny_dataset, tmp_path):

@@ -28,13 +28,14 @@ It covers the desk experiment of `experiments/desk.json` at 1500 rows, as
 base and with each ablation flag off (`w/o lwi`, `irf`, `map`, `ma` and
 `reconstruction_loss`), and the paper-default config on 7-channel seasonal
 data, as base and `w/o lwi`, with short step-capped runs: 8 cases of 14
-digests each, 112 in all. A run takes about 12 s on a 2-core VM with one
-BLAS thread. For each case it digests the raw gradients of one `backward` on
-the first training batch of the freshly built model (before clipping and
-Adam), the train step losses, the epoch train and validation losses,
-`validation_loss`, the `evaluate` predictions, LWI weight mean and attention
-mean, the scored test split, the checkpoint bytes, and the CSV bytes that
-`mlf forecast` writes from that checkpoint. `scores` hashes the JSON text of the test split's
+digests each, and one more for each paper case, 114 in all. A run takes
+about 14 s on a 2-core VM with one BLAS thread. For each case it digests the
+raw gradients of one `backward` on the first training batch of the freshly
+built model (before clipping and Adam), the train step losses, the epoch
+train and validation losses, `validation_loss`, the `evaluate` predictions,
+LWI weight mean and attention mean, the scored test split, the checkpoint
+bytes, and the CSV bytes that `mlf forecast` writes from that checkpoint.
+`scores` hashes the JSON text of the test split's
 `evaluate(...).to_dict()`, on the dataset as built and on
 `replace(ds, format="fund")`, whose original-unit WMAPE is summed per
 channel: every reported number, per horizon step, in original units, the
@@ -44,6 +45,11 @@ The restore path gets its own digests, all of the model that
 `forward(training=False)` on the first test batch, called with no wrapper as
 the benchmark's restore check calls it; the `evaluate` predictions; and the
 step losses and final parameters of 3 more train steps run from that model.
+The paper cases also digest `evaluate_batch128`: the predictions, attention
+mean and LWI weight mean of `evaluate` with attention collected, run by the
+trained weights at batch 128, where the encoder blocks, squeeze decoders and
+LWI features split each batch in two halves (`autograd.in_halves`). At the
+training batch of 32 nothing splits.
 
 `validation_loss` digests the normalized MSE that `evaluate` reports on the
 validation split after training, the number `train` selects its epoch by. The
@@ -74,18 +80,19 @@ from mlf import cli, training  # noqa: E402
 from mlf.autograd import backward  # noqa: E402
 from mlf.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
-from mlf.model import MlfConfig, apply_ablation, build_model, mlf_loss  # noqa: E402
+from mlf.model import MlfConfig, MlfModel, apply_ablation, build_model, mlf_loss  # noqa: E402
 from mlf.synth import generate, seasonal_multichannel, write_csv  # noqa: E402
 
 EXPERIMENT = json.loads((ROOT / "experiments" / "desk.json").read_text(encoding="utf-8"))
 DESK = replace(MlfConfig.from_dict(EXPERIMENT["model"]), epochs=3, max_steps=40)
 PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24, batch_size=32, epochs=2, max_steps=3)
 
-# Name -> (config, data, ablation flags run as `w/o <flag>` variants besides base).
+# Name -> (config, data, ablation flags run as `w/o <flag>` variants besides
+# base, and the batch of a second `evaluate` or None).
 CASES = {
     "desk": (DESK, lambda: generate(**{**EXPERIMENT["dataset"]["synthetic"], "n_steps": 1500}),
-             ("lwi", "irf", "map", "ma", "reconstruction_loss")),
-    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",)),
+             ("lwi", "irf", "map", "ma", "reconstruction_loss"), None),
+    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",), 128),
 }
 SEED = 3
 
@@ -115,7 +122,7 @@ def first_batch_gradients(cfg: MlfConfig, ds: SeriesDataset, split) -> bytes:
     return b"".join(name.encode() + p.grad.tobytes() for name, p in sorted(model.params.items()))
 
 
-def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
+def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | None) -> dict[str, str]:
     split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = standardize(raw, split)
     gradients = first_batch_gradients(cfg, ds, split)
@@ -144,7 +151,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
     restored_ev = training.evaluate(restored, ds, split, "test")
     more = training.train(restored, ds, split, seed=SEED)
     state = restored.state_arrays()
-    return {
+    digests = {
         "gradients": digest(gradients),
         "step_losses": digest(result.step_losses),
         "epoch_losses": digest([(r.train_loss, r.val_loss) for r in result.records]),
@@ -160,6 +167,12 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path) -> dict[str, str]:
         "restored_step_losses": digest(more.step_losses),
         "restored_state": digest(b"".join(state[name].tobytes() for name in sorted(state))),
     }
+    if serve_batch is not None:
+        served = MlfModel(replace(cfg, batch_size=serve_batch), state=model.state_arrays())
+        wide = training.evaluate(served, ds, split, "test", collect_attention=True)
+        parts = [wide.predictions, wide.attention_mean] + ([] if wide.att_mean is None else [wide.att_mean])
+        digests[f"evaluate_batch{serve_batch}"] = digest(np.concatenate([a.ravel() for a in parts]))
+    return digests
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,13 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     line = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (cfg, make_data, flags) in CASES.items():
+        for name, (cfg, make_data, flags, serve_batch) in CASES.items():
             raw = make_data()
             variants = [("base", cfg)] + [(f"w/o {flag}", apply_ablation(cfg, flag)) for flag in flags]
             for variant, variant_cfg in variants:
                 work = Path(tmp) / f"{name}-{variant.replace('/', '')}"
                 work.mkdir()
-                for key, value in run_case(variant_cfg, raw, work).items():
+                for key, value in run_case(variant_cfg, raw, work, serve_batch).items():
                     line[f"{name}/{variant}/{key}"] = value
     if args.against is None:
         print(json.dumps(line, sort_keys=True))
