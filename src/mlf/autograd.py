@@ -37,18 +37,19 @@ shapes (numpy would broadcast), narrow refuses a range past the axis (numpy
 would clip the slice), and backward refuses a non-scalar loss, a loss that
 needs no gradient and a graph it has already walked.
 
-`in_halves` runs a row-independent function over the two halves of a
-batch, one on a persistent worker thread and one on the caller, and joins
-the results bit for bit as the whole batch gives them. Three spans of the
-model use it, each inside its own body: `EncoderBlock.__call__`,
-`PeriodDecoder.__call__` and the conv/batch-norm/pool features of
-`WeightIntegrator.__call__`. They split only at inference (nothing records,
-and batch norm reads its running estimates), from 2 rows up, and only when
-the span's largest temporary holds at least SPLIT_FLOOR (2**18) elements.
-The paper config splits all three at batch 128, and none at batch 32 or in
-a forecast; the desk config at batch 64 splits none. The 2-D GEMMs whose row
-count is the batch (SPP heads, IRF branches, the LWI gate) round by their
-row count, so they always run on the whole batch.
+`in_halves` runs a row-independent function of one Tensor to one Tensor over
+the two halves of a batch, one on a persistent worker thread and one on the
+caller, and joins the two outputs bit for bit as the whole batch gives them.
+Three spans of the model use it, each inside its own body and each with one
+input and one output: `EncoderBlock.__call__`, `PeriodDecoder.__call__` and
+the conv/batch-norm/pool features of `WeightIntegrator.__call__`. They split
+only at inference (nothing records, and batch norm reads its running
+estimates), from 2 rows up, and only when the span's largest temporary holds
+at least SPLIT_FLOOR (2**18) elements. The paper config splits all three at
+batch 128, and none at batch 32 or in a forecast; the desk config at batch 64
+splits none. The 2-D GEMMs whose row count is the batch (SPP heads, IRF
+branches, the LWI gate) round by their row count, so they always run on the
+whole batch.
 
 No primitive checks its output for NaN or Inf. Non-finite numbers are stopped
 where they enter: CSV cells, run-config fields and checkpoint tensors are
@@ -579,7 +580,7 @@ if hasattr(os, "register_at_fork"):  # POSIX only; without fork there is no chil
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False):
+def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False) -> Tensor:
     """`fn(x)`, computed as `fn` of x's two halves along the batch axis, one on
     the worker thread and one on the caller, joined along the batch axis.
 
@@ -592,11 +593,11 @@ def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False):
     2 rows, and the largest temporary of `fn`, `row_elements` per row, holds
     at least SPLIT_FLOOR elements; otherwise it returns `fn(x)`.
 
-    `fn` returns a Tensor, an array, None, or a tuple of these; each is
-    joined along its first axis. The worker runs in a copy of the caller's
-    context, so it sees the caller's grad mode and `np.errstate`, and it
-    opens no span of its own. An exception of the worker's half re-raises
-    here; if the caller's half raises, the worker's half is waited for first.
+    `fn` returns one Tensor, and the two halves' outputs are joined along
+    its first axis. The worker runs in a copy of the caller's context, so it
+    sees the caller's grad mode and `np.errstate`, and it opens no span of
+    its own. An exception of the worker's half re-raises here; if the
+    caller's half raises, the worker's half is waited for first.
     """
     rows = x.shape[0]
     if training or _GRAD_ENABLED.get() or rows < 2 or rows * row_elements < SPLIT_FLOOR:
@@ -607,12 +608,4 @@ def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False):
         first = fn(Tensor(x.data[:half]))
     finally:
         future.exception()  # waits for the worker's half
-    return _join(first, future.result())
-
-
-def _join(a, b):
-    if isinstance(a, tuple):
-        return tuple(_join(p, q) for p, q in zip(a, b))
-    if isinstance(a, Tensor):
-        return Tensor(np.concatenate([a.data, b.data]))
-    return None if a is None else np.concatenate([a, b])
+    return Tensor(np.concatenate([first.data, future.result().data]))

@@ -8,11 +8,11 @@ produces byte-identical files, which the reproducibility guarantee relies
 on. `load_checkpoint` is the one place that validates a header: every field
 its readers use has its type (the config, the normalization, `meta.data`, and
 the run's `dataset` section, `meta.run.dataset`, walked with
-`model.DATASET_FIELDS`), and the payload is exactly the tensors, or the load
-fails with a `CheckpointError`, as it does when a tensor holds NaN or Inf. It
-reads the payload after the header once, into one writable buffer sized from
-the file, and each loaded tensor is an aligned view into that buffer, not a
-copy.
+`model.DATASET_FIELDS` and held to `model.check_dataset`, as a run config's
+is), and the payload is exactly the tensors, or the load fails with a
+`CheckpointError`, as it does when a tensor holds NaN or Inf. It reads the
+payload after the header once, into one writable buffer sized from the file,
+and each loaded tensor is an aligned view into that buffer, not a copy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DATASET_FIELDS, ConfigError, MlfConfig, check_section, has_type
+from .model import DATASET_FIELDS, ConfigError, MlfConfig, check_dataset, check_section, has_type
 
 MAGIC = b"MLFCKPT1"
 # Version 2: SPP heads carry a redundancy branch only where the forward pass
@@ -159,7 +159,9 @@ def check_fields(path: str, header: dict) -> None:
     for rule, holds in rules.items():
         if not holds:
             raise CheckpointError(f"{path}: corrupt header: {rule}")
+    section = run.get("dataset", {})
     try:
-        check_section(run.get("dataset", {}), DATASET_FIELDS, "meta.run.dataset.")
+        check_section(section, DATASET_FIELDS, "meta.run.dataset.")
+        check_dataset(section, "meta.run.dataset.")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None

@@ -39,7 +39,9 @@ from .data import (
     standardize,
 )
 from .metrics import MetricError
-from .model import DATASET_FIELDS, ConfigError, MlfConfig, MlfModel, build_model, check_section, int_at_least
+from .model import (
+    DATASET_FIELDS, ConfigError, MlfConfig, MlfModel, build_model, check_dataset, check_section, int_at_least,
+)
 from .training import DivergenceError, evaluate, train
 
 CHECKPOINT_FILE = "checkpoint.mlfckpt"
@@ -121,21 +123,14 @@ def prepare(raw: dict) -> tuple[MlfConfig, SeriesDataset, object, dict, dict]:
             raise ConfigError(f"missing required config section: {key}")
     cfg = MlfConfig.from_dict(raw["model"])
     section = raw["dataset"]
-    if "path" in section and "synthetic" in section:
-        raise ConfigError("dataset section takes 'path' or 'synthetic', not both")
-    if "format" in section and "path" not in section:  # eval and forecast read their data file in it
-        raise ConfigError("dataset section takes 'format' only with 'path'")
-    split_fields = section.get("split", {})
-    for key, scheme in (("rows_per_month", "ett"), ("ratios", "ratio")):
-        if key in split_fields and split_fields.get("scheme", "ratio") != scheme:
-            raise ConfigError(f"dataset.split.{key} applies only to scheme {scheme!r}")
+    check_dataset(section, "dataset.")
     if "synthetic" in section:
         ds = synth.generate(**section["synthetic"])
     elif "path" in section:
         ds = load_csv(section["path"], section.get("format", "generic"))
     else:
         raise ConfigError("dataset section needs either 'path' or 'synthetic'")
-    split = split_dataset(ds, **split_fields, min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    split = split_dataset(ds, **section.get("split", {}), min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     record = data_record(ds)
     ds = standardize(ds, split)
     return cfg, ds, split, section, record

@@ -33,7 +33,8 @@ class EncoderBlock:
     Input and output are (B, D, N_tok). Q, K and V are each one (H, D, d_k)
     parameter whose slice h is head h's projection; all heads run in one
     pass as a (D, D) channel-first projection split into (B, H, d_k, N).
-    Scores are row-stochastic per head.
+    `scores` gives the attention scores that the block's output is made
+    with, row-stochastic per head; the block itself returns only z.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int, d_ff: int):
@@ -58,33 +59,29 @@ class EncoderBlock:
         proj = matmul(reshape(transpose(w), (self.d_model, self.d_model)), x)
         return reshape(proj, (batch, self.n_heads, self.d_k, n_tok))
 
-    def __call__(
-        self, x: Tensor, *, training: bool, collect_scores: bool = False
-    ) -> tuple[Tensor, np.ndarray | None]:
-        """Returns (z, scores); scores is (H, B, N, N) when collected. Every
-        row is its own at inference, so a large batch runs in two halves."""
+    def __call__(self, x: Tensor, *, training: bool) -> Tensor:
+        """z; every row is its own at inference, so a large batch runs in two halves."""
         n_tok = x.shape[-1]
         largest = max(self.d_model, self.d_ff, self.n_heads * n_tok) * n_tok  # per row: v, ff hidden, scores
-        z, scores = in_halves(
-            lambda half: self._attend(half, training=training, collect_scores=collect_scores),
-            x, largest, training=training,
-        )
-        return z, None if scores is None else scores.swapaxes(0, 1)
+        return in_halves(lambda half: self._attend(half, training=training), x, largest, training=training)
 
-    def _attend(self, x: Tensor, *, training: bool, collect_scores: bool) -> tuple[Tensor, np.ndarray | None]:
-        """The block on its own input: (z, scores as (B, H, N, N) or None)."""
-        batch, _, n_tok = x.shape
-        q, k, v = (self._heads(w, x) for w in (self.w_q, self.w_k, self.w_v))
+    def scores(self, x: Tensor) -> Tensor:
+        """The row-stochastic attention scores of every head, (B, H, N, N):
+        softmax(Q_h K_h^T / sqrt(d_k)) over the key axis."""
+        q, k = (self._heads(w, x) for w in (self.w_q, self.w_k))
         scale = Tensor(1.0 / np.sqrt(self.d_k))
-        scores = softmax(mul(matmul(transpose(q), k), scale, consume=True), consume=True)  # (B, H, N, N)
-        merged = reshape(matmul(v, transpose(scores)), (batch, self.d_model, n_tok))
-        kept = scores.data if collect_scores else None
-        del q, k, v, scores  # only the tape, if any, keeps them through the feed-forward
+        return softmax(mul(matmul(transpose(q), k), scale, consume=True), consume=True)
+
+    def _attend(self, x: Tensor, *, training: bool) -> Tensor:
+        """The block on its own input."""
+        batch, _, n_tok = x.shape
+        scores = self.scores(x)  # first, so that q and k are freed before v is made
+        merged = reshape(matmul(self._heads(self.w_v, x), transpose(scores)), (batch, self.d_model, n_tok))
+        del scores  # only the tape, if any, keeps it and v through the feed-forward
         # The fresh branch goes first in each residual add: `consume` may overwrite only that operand.
         u = self.norm_attn(add(matmul(transpose(self.w_out), merged), x, consume=True), training=training)
         f = self.ff_out(relu(self.ff_in(u), consume=True))
-        z = self.norm_ff(add(f, u, consume=True), training=training)
-        return z, kept
+        return self.norm_ff(add(f, u, consume=True), training=training)
 
 
 class SppHead:

@@ -155,7 +155,8 @@ def int_at_least(least: int) -> tuple:
 
 
 # A `dataset` section's table: `cli.load_run_config` walks a run config's
-# section with it, and `load_checkpoint` a checkpoint's `meta.run.dataset`.
+# section with it, and `load_checkpoint` a checkpoint's `meta.run.dataset`;
+# `check_dataset` then applies the cross-field rules to both.
 # Every field that a reader of the section uses is here, so `data.load_csv`
 # takes its `format`, `synth.generate` its `synthetic` fields and
 # `split_dataset` its `split` fields as given; `mlf synth-data` checks its
@@ -177,6 +178,19 @@ DATASET_FIELDS = {
         "rows_per_month": (int_at_least(1),),
     },
 }
+
+
+def check_dataset(section: dict, prefix: str) -> None:
+    """The rules that compare one field of a `dataset` section, which
+    DATASET_FIELDS passed, with another; `prefix` is as `check_section`'s."""
+    if "path" in section and "synthetic" in section:
+        raise ConfigError(f"{prefix[:-1]} section takes 'path' or 'synthetic', not both")
+    if "format" in section and "path" not in section:  # eval and forecast read their data file in it
+        raise ConfigError(f"{prefix[:-1]} section takes 'format' only with 'path'")
+    split = section.get("split", {})
+    for key, scheme in (("rows_per_month", "ett"), ("ratios", "ratio")):
+        if key in split and split.get("scheme", "ratio") != scheme:
+            raise ConfigError(f"{prefix}split.{key} applies only to scheme {scheme!r}")
 
 
 def validate_config(cfg: MlfConfig) -> None:
@@ -365,7 +379,7 @@ class MlfModel:
         collect_attention: bool = False,
     ) -> ForecastBundle:
         """Training normalizes with batch statistics and updates the running estimates; inference
-        runs under `no_grad()`, so it records no tape. collect_attention keeps attention scores."""
+        runs under `no_grad()`, so it records no tape. collect_attention adds each block's `scores`."""
         with nullcontext() if training else no_grad():
             cfg = self.config
             if len(windows) != cfg.n_periods:
@@ -393,11 +407,9 @@ class MlfModel:
             attention_scores: list[np.ndarray] | None = [] if collect_attention else None
 
             for e, heads in enumerate(self.spp_heads):
-                z = tokens
-                if self.blocks:
-                    z, scores = self.blocks[e](tokens, training=training, collect_scores=collect_attention)
-                    if collect_attention:
-                        attention_scores.append(scores)
+                z = self.blocks[e](tokens, training=training) if self.blocks else tokens
+                if collect_attention and self.blocks:  # (H, B, N, N), recomputed on the whole batch
+                    attention_scores.append(self.blocks[e].scores(tokens).data.swapaxes(0, 1))
                 period_blocks = split_periods(z, self.token_ranges)
                 forecasts, epsilons = zip(*(head(period_blocks[s]) for s, head in enumerate(heads)))
                 block_forecasts.append(forecasts)

@@ -167,25 +167,38 @@ def test_eval_matches_train_log(trained, tmp_path, capsys):
     assert json.loads(stdout)["normalized"]["mse"] == final["best_val_loss"]
 
 
-def test_eval_attention_export_shape(trained, tmp_path, capsys):
+def test_eval_attention_export_shape(trained, tmp_path, capsys, monkeypatch, worker_calls):
+    """The exported matrix is `evaluate`'s attention mean, bit for bit, with
+    the blocks' batches whole and in two halves: the export recomputes the
+    scores with `EncoderBlock.scores` on the whole batch."""
     path, out_dir = trained
     data_csv = tmp_path / "data.csv"
     from mlf.synth import generate, write_csv
 
     write_csv(generate("trend", 160, 1, 3), str(data_csv))
-    att_csv = tmp_path / "att.csv"
-    code, _, err = run_cli(
-        capsys,
-        "eval", str(out_dir / "checkpoint.mlfckpt"),
-        "--data", str(data_csv),
-        "--export-attention", str(att_csv),
-        "--export-weights", str(tmp_path / "w.csv"),
-    )
-    assert code == 0, err
-    mat = np.loadtxt(att_csv, delimiter=",")
-    n_tok = 2 * (4 // 2)  # S * n_patches / r
-    assert mat.shape == (n_tok, n_tok)
-    assert mat.size == n_tok**2
+    ckpt_path = out_dir / "checkpoint.mlfckpt"
+    ckpt = load_checkpoint(str(ckpt_path))
+    model = cli.restore_model(ckpt)
+    ds = load_csv(str(data_csv))
+    split = split_dataset(ds, min_history=max(model.config.period_lengths), horizon=model.config.horizon)
+    expected = evaluate(model, cli.apply_checkpoint_norm(ds, ckpt), split, "test", collect_attention=True)
+    for floor in (autograd.SPLIT_FLOOR, 0):
+        monkeypatch.setattr(autograd, "SPLIT_FLOOR", floor)
+        att_csv = tmp_path / f"att{floor}.csv"
+        code, _, err = run_cli(
+            capsys,
+            "eval", str(ckpt_path),
+            "--data", str(data_csv),
+            "--export-attention", str(att_csv),
+            "--export-weights", str(tmp_path / "w.csv"),
+        )
+        assert code == 0, err
+        assert bool(worker_calls) == (floor == 0)
+        mat = np.loadtxt(att_csv, delimiter=",")
+        n_tok = 2 * (4 // 2)  # S * n_patches / r
+        assert mat.shape == (n_tok, n_tok)
+        assert mat.size == n_tok**2
+        assert np.array_equal(mat, expected.attention_mean)
     sidecar = read_json(str(att_csv) + ".tokens.json")
     assert [r["period_length"] for r in sidecar["token_ranges"]] == [4, 8]
     weights = np.loadtxt(tmp_path / "w.csv", delimiter=",")
@@ -816,6 +829,15 @@ BAD_DATASET_SECTIONS = {
     "format-unknown": ({"format": "parquet"}, "dataset.format must be 'generic' or 'fund', got 'parquet'"),
     "split-key-unknown": ({"split": {"ratio": [1, 1, 1]}}, "dataset.split has unknown key(s): ['ratio']"),
     "synthetic-key-unknown": ({"synthetic": {"n_step": 50}}, "dataset.synthetic has unknown key(s): ['n_step']"),
+    # The rules that compare one field with another.
+    "rows-per-month-ratio": ({"split": {"scheme": "ratio", "rows_per_month": 5}},
+                             "dataset.split.rows_per_month applies only to scheme 'ett'"),
+    "ratios-ett": ({"split": {"scheme": "ett", "ratios": [1, 1, 1]}},
+                   "dataset.split.ratios applies only to scheme 'ratio'"),
+    "path-and-synthetic": ({"path": "x.csv", "synthetic": {"kind": "trend"}},
+                           "dataset section takes 'path' or 'synthetic', not both"),
+    "format-without-path": ({"format": "generic", "synthetic": {"kind": "trend"}},
+                            "dataset section takes 'format' only with 'path'"),
 }
 
 

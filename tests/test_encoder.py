@@ -45,9 +45,10 @@ def test_block_preserves_shape_and_scores_are_stochastic():
     rng = np.random.default_rng(2)
     block = EncoderBlock(store(2), "b", 8, 2, 16)
     x = Tensor(rng.standard_normal((3, 8, 6)))
-    z, scores = block(x, training=True, collect_scores=True)
+    z = block(x, training=True)
+    scores = block.scores(x).data
     assert z.shape == (3, 8, 6)
-    assert scores.shape == (2, 3, 6, 6)
+    assert scores.shape == (3, 2, 6, 6)
     assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) <= 1e-6
 
 
@@ -58,7 +59,7 @@ def test_block_gradients_match_finite_differences():
     x = Tensor(rng.standard_normal((2, 4, 6)))
 
     def f(*params):
-        z, _ = block(x, training=True)
+        z = block(x, training=True)
         return mean_all(z * z)
 
     report = grad_check(f, list(st.params.values()))
@@ -104,7 +105,8 @@ def test_batched_block_matches_per_head_reference():
     block = EncoderBlock(st, "b", 8, 4, 16)
     x = Tensor(np.random.default_rng(8).standard_normal((16, 8, 12)))
 
-    z, scores = block(x, training=True, collect_scores=True)
+    z = block(x, training=True)
+    scores = block.scores(x).data.swapaxes(0, 1)  # (H, B, N, N), as the reference stacks them
     backward(mean_all(z * z))
     batched = {name: p.grad for name, p in st.params.items()}
 

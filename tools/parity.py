@@ -48,8 +48,9 @@ step losses and final parameters of 3 more train steps run from that model.
 The paper cases also digest `evaluate_batch128`: the predictions, attention
 mean and LWI weight mean of `evaluate` with attention collected, run by the
 trained weights at batch 128, where the encoder blocks, squeeze decoders and
-LWI features split each batch in two halves (`autograd.in_halves`). At the
-training batch of 32 nothing splits.
+LWI features split each batch in two halves (`autograd.in_halves`). The
+attention mean is read through `EncoderBlock.scores` on the whole batch,
+while the blocks' outputs split. At the training batch of 32 nothing splits.
 
 `validation_loss` digests the normalized MSE that `evaluate` reports on the
 validation split after training, the number `train` selects its epoch by. The
