@@ -185,7 +185,7 @@ def check_dataset(section: dict, prefix: str) -> None:
     DATASET_FIELDS passed, with another; `prefix` is as `check_section`'s."""
     if "path" in section and "synthetic" in section:
         raise ConfigError(f"{prefix[:-1]} section takes 'path' or 'synthetic', not both")
-    if "format" in section and "path" not in section:  # eval and forecast read their data file in it
+    if "format" in section and "synthetic" in section:  # without `path`, eval and forecast read --data in it
         raise ConfigError(f"{prefix[:-1]} section takes 'format' only with 'path'")
     split = section.get("split", {})
     for key, scheme in (("rows_per_month", "ett"), ("ratios", "ratio")):
@@ -379,7 +379,7 @@ class MlfModel:
         collect_attention: bool = False,
     ) -> ForecastBundle:
         """Training normalizes with batch statistics and updates the running estimates; inference
-        runs under `no_grad()`, so it records no tape. collect_attention adds each block's `scores`."""
+        runs under `no_grad()`, so it records no tape. collect_attention recomputes each block's `scores`."""
         with nullcontext() if training else no_grad():
             cfg = self.config
             if len(windows) != cfg.n_periods:

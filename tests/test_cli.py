@@ -836,8 +836,8 @@ BAD_DATASET_SECTIONS = {
                    "dataset.split.ratios applies only to scheme 'ratio'"),
     "path-and-synthetic": ({"path": "x.csv", "synthetic": {"kind": "trend"}},
                            "dataset section takes 'path' or 'synthetic', not both"),
-    "format-without-path": ({"format": "generic", "synthetic": {"kind": "trend"}},
-                            "dataset section takes 'format' only with 'path'"),
+    "format-and-synthetic": ({"format": "generic", "synthetic": {"kind": "trend"}},
+                             "dataset section takes 'format' only with 'path'"),
 }
 
 
@@ -877,7 +877,8 @@ def test_bad_dataset_field_is_one_checkpoint_error_line_from_forecast(tmp_path, 
 
 def test_a_fund_run_is_served_in_the_format_its_checkpoint_records(tmp_path, capsys):
     """`eval` and `forecast` take no format option: they read the data file
-    as the `dataset` section stored in the checkpoint says, here 'fund'."""
+    as the `dataset` section stored in the checkpoint says, here 'fund', also
+    when a library-written checkpoint's section holds only the format."""
     from mlf.synth import generate
 
     amounts = 10.0 + np.abs(generate("trend", 160, 2, 3).values)
@@ -888,13 +889,17 @@ def test_a_fund_run_is_served_in_the_format_its_checkpoint_records(tmp_path, cap
               "model": dict(TOY_MODEL, epochs=1)}
     code, _, err = run_cli(capsys, "train", config_file(tmp_path, json.dumps(config)))
     assert code == 0, err
-    ckpt_path = str(tmp_path / "out" / "checkpoint.mlfckpt")
-    code, stdout, err = run_cli(capsys, "eval", ckpt_path, "--data", str(fund_csv))
-    assert code == 0, err
-    # `train` scored its test split with the per-channel WMAPE summed, as fund data is scored.
-    assert json.loads(stdout) == read_jsonl(tmp_path / "out" / "train_log.jsonl")[-1]["test"]
-    out_csv = tmp_path / "pred.csv"
-    code, _, err = run_cli(capsys, "forecast", ckpt_path, "--data", str(fund_csv), "--output", str(out_csv))
-    assert code == 0, err
-    rows = read_rows(out_csv)
-    assert rows[0] == ["step", "apply_amt", "redeem_amt"] and len(rows) == 1 + TOY_MODEL["horizon"]
+    trained = str(tmp_path / "out" / "checkpoint.mlfckpt")
+    library = load_checkpoint(trained)
+    library.meta = {"run": {"dataset": {"format": "fund"}}}
+    save_checkpoint(str(tmp_path / "library.mlfckpt"), library)
+    for ckpt_path in (trained, str(tmp_path / "library.mlfckpt")):
+        code, stdout, err = run_cli(capsys, "eval", ckpt_path, "--data", str(fund_csv))
+        assert code == 0, err
+        # `train` scored its test split with the per-channel WMAPE summed, as fund data is scored.
+        assert json.loads(stdout) == read_jsonl(tmp_path / "out" / "train_log.jsonl")[-1]["test"]
+        out_csv = tmp_path / "pred.csv"
+        code, _, err = run_cli(capsys, "forecast", ckpt_path, "--data", str(fund_csv), "--output", str(out_csv))
+        assert code == 0, err
+        rows = read_rows(out_csv)
+        assert rows[0] == ["step", "apply_amt", "redeem_amt"] and len(rows) == 1 + TOY_MODEL["horizon"]
