@@ -2,12 +2,13 @@
 
 A Tensor wraps a numpy array and, when it participates in a differentiable
 computation, records the operation that produced it in a tape entry: edges to
-its parents, a vector-Jacobian-product closure and the op name. `backward()`
-walks the recorded graph once in reverse topological order, accumulates
-gradients into the leaves that requested them and empties each tape entry once
-its vjp has run, so a graph can be walked only once. Inside `with no_grad():`
-nothing is recorded, as with `torch.no_grad`. The model's inference forward
-runs in it, so inference records nothing and frees each array once unread.
+its parents, a vector-Jacobian-product closure, the op name and the output's
+element count. `backward()` walks the recorded graph once in reverse
+topological order, accumulates gradients into the leaves that requested them
+and empties each tape entry once its vjp has run, so a graph can be walked
+only once. Inside `with no_grad():` nothing is recorded, as with
+`torch.no_grad`. The model's inference forward runs in it, so inference
+records nothing and frees each array once unread.
 
 `consume=True` on `add`, `mul`, `relu`, `softmax` or `batch_norm` says the
 caller reads the operand (the first of `add` and `mul`, the input of the rest)
@@ -37,9 +38,21 @@ shapes (numpy would broadcast), narrow refuses a range past the axis (numpy
 would clip the slice), and backward refuses a non-scalar loss, a loss that
 needs no gradient and a graph it has already walked.
 
+Two threads run where the bits cannot move: the caller and one persistent
+worker thread, which runs in a copy of the caller's context and opens no
+span. `backward` runs every vjp on the caller while the graph's recorded
+outputs hold fewer than BACKWARD_FLOOR (2**21) elements in all: the desk
+config at batch 64 records 0.92M, and its steps are bound by Python. From
+the floor up (the paper config at batch 8 records 2.87M, at batch 32 10.1M)
+both threads take the entries whose consumers have all run, the earliest in
+the sequential walk's order first. Each adjoint is still the sum of its
+contributions folded left to right in that walk's order, by consumer and then
+by parent slot, so every gradient keeps its bits. A vjp that raises on either
+thread stops both after their current vjp, and the caller re-raises it.
+
 `in_halves` runs a row-independent function of one Tensor to one Tensor over
-the two halves of a batch, one on a persistent worker thread and one on the
-caller, and joins the two outputs bit for bit as the whole batch gives them.
+the two halves of a batch, one on the worker thread and one on the caller,
+and joins the two outputs bit for bit as the whole batch gives them.
 Three spans of the model use it, each inside its own body and each with one
 input and one output: `EncoderBlock.__call__`, `PeriodDecoder.__call__` and
 the conv/batch-norm/pool features of `WeightIntegrator.__call__`. They split
@@ -59,10 +72,12 @@ checked when they are read.
 from __future__ import annotations
 
 import contextvars
+import heapq
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import zip_longest
 
 import numpy as np
 
@@ -95,17 +110,20 @@ def no_grad():
 class _Fn:
     """The tape entry of one recorded output: its parent edges, vjp and op.
 
-    It holds no output data. Entries always need a gradient, so `backward`
-    treats an entry and a requires_grad leaf alike, and empties it after its vjp.
+    It holds no output data, only the output's element count (`size`), which
+    `backward` sums to choose between one thread and two. Entries always need
+    a gradient, so `backward` treats an entry and a requires_grad leaf alike,
+    and empties it after its vjp.
     """
 
-    __slots__ = ("parents", "vjp", "op")
+    __slots__ = ("parents", "vjp", "op", "size")
     requires_grad = True
 
-    def __init__(self, parents: tuple = (), vjp=None, op: str = "leaf"):
+    def __init__(self, parents: tuple, vjp, op: str, size: int):
         self.parents = parents
         self.vjp = vjp
         self.op = op
+        self.size = size
 
 
 class Tensor:
@@ -185,7 +203,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = True
-        out._fn = _Fn(tuple(p._fn or p for p in parents), vjp, op)
+        out._fn = _Fn(tuple(p._fn or p for p in parents), vjp, op, data.size)
     return out
 
 
@@ -498,8 +516,18 @@ def backward(loss: Tensor) -> None:
     closed over the arrays it reads; no output's data is kept. Each entry is
     emptied right after its vjp has run, which frees what it read (as PyTorch
     frees saved tensors), so a later call that reaches it raises ValueError.
-    Leaf gradients of separate graphs add up. Adjoints live in a per-pass
-    table, so each node is processed exactly once per call.
+    Leaf gradients of separate graphs add up: a leaf gets a copy of its
+    adjoint, or `grad + adjoint`. An entry that receives no gradient skips its
+    vjp and is not emptied.
+
+    A post-order walk fixes the sequential order: the reverse of it, from the
+    loss down. Each adjoint is the left fold of its contributions in that
+    order, by consumer and then by parent slot. When the recorded outputs hold
+    fewer than BACKWARD_FLOOR elements in all, one loop on the caller runs the
+    entries in that order. From the floor up, the caller and the worker
+    thread both take entries whose consumers have all run, the earliest in
+    the sequential order first (`_Drain`), and fold each adjoint in the same
+    order. So the gradients are the same bits either way.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -511,6 +539,7 @@ def backward(loss: Tensor) -> None:
     root = loss._fn or loss
     topo: list[_Fn | Tensor] = []
     seen: set[int] = set()
+    elements = 0  # of the recorded outputs
     stack: list[tuple[_Fn | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -524,10 +553,14 @@ def backward(loss: Tensor) -> None:
         if isinstance(node, _Fn):
             if node.vjp is None:
                 raise ValueError(f"backward already walked the graph through this {node.op!r} node and freed it")
+            elements += node.size
             for parent in node.parents:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
 
+    if elements >= BACKWARD_FLOOR:
+        _Drain(topo[::-1], np.ones_like(loss.data)).on_two_threads()
+        return
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = adjoint.pop(id(node), None)
@@ -548,7 +581,7 @@ def backward(loss: Tensor) -> None:
                 adjoint[key] = pg
 
 
-# -- batch halves on two threads ------------------------------------------------
+# -- two threads: the backward drain and batch halves ---------------------------
 
 # in_halves splits a batch only when the span's largest temporary holds at least
 # this many elements. Small spans are bound by Python and the GIL, where the halves
@@ -556,17 +589,123 @@ def backward(loss: Tensor) -> None:
 # one BLAS thread); this floor also keeps the paper config's batch of 32 whole.
 SPLIT_FLOOR = 2**18
 
+# backward runs on two threads only when the recorded outputs below the loss
+# hold at least this many elements in all. A desk step at batch 64 (0.92M) is
+# bound by Python, and two threads made it slower; a paper step at batch 8
+# (2.87M) or 32 (10.1M) is bound by numpy, which releases the GIL.
+BACKWARD_FLOOR = 2**21
+
 _worker_pool: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
 
 
 def _worker() -> ThreadPoolExecutor:
-    """The one persistent worker thread, started on first use."""
+    """The one persistent worker thread, started on first use; `backward` and
+    `in_halves` share it."""
     global _worker_pool
     with _worker_lock:
         if _worker_pool is None:
-            _worker_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlf-half")
+            _worker_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlf-worker")
         return _worker_pool
+
+
+class _Drain:
+    """One backward's entries, run by the caller and the worker thread.
+
+    `order` is the sequential order, the loss first. An entry or leaf becomes
+    ready once every edge from its consumers has delivered: a gradient, or
+    nothing when the consumer got none or gave none to that slot. Each thread
+    takes the earliest ready node in that order, runs its vjp (or adds to the
+    leaf's `grad`) outside the lock, and delivers to its parents under the
+    lock. A delivery is folded into the parent's adjoint as soon as every
+    earlier edge of that parent has delivered, so the sum is formed in the
+    sequential walk's order, and only an early arrival waits in `early`.
+    """
+
+    def __init__(self, order: list, seed: np.ndarray):
+        self.order = order
+        index = {id(node): i for i, node in enumerate(order)}
+        self.edges = [0] * len(order)  # the consumer edges of each node
+        # For each slot of each entry, (parent index, the edge's rank among the
+        # parent's edges) or None for a parent that needs no gradient.
+        self.targets: list[tuple | None] = [None] * len(order)
+        for i, node in enumerate(order):
+            if isinstance(node, _Fn):
+                targets = []
+                for parent in node.parents:
+                    if parent.requires_grad:
+                        j = index[id(parent)]
+                        targets.append((j, self.edges[j]))
+                        self.edges[j] += 1
+                    else:
+                        targets.append(None)
+                self.targets[i] = tuple(targets)
+        self.adjoint: list[np.ndarray | None] = [seed] + [None] * (len(order) - 1)
+        self.folded = [0] * len(order)  # edges folded into each adjoint so far
+        self.early: dict[tuple[int, int], np.ndarray | None] = {}  # by (node, edge rank)
+        self.ready = [0]  # a heap of the indices of ready nodes
+        self.left = len(order)  # nodes not yet run
+        self.error: BaseException | None = None
+        self.cond = threading.Condition()
+
+    def on_two_threads(self) -> None:
+        """Drain on the caller and the worker; re-raise the first error once both stopped."""
+        future = _worker().submit(contextvars.copy_context().run, self.drain)
+        self.drain()
+        future.result()
+        if self.error is not None:
+            raise self.error
+
+    def drain(self) -> None:
+        """Run ready nodes until all have run or one raised; never raises."""
+        cond = self.cond
+        try:
+            while True:
+                with cond:
+                    while not self.ready and self.left and self.error is None:
+                        cond.wait()
+                    if not self.left or self.error is not None:
+                        return
+                    i = heapq.heappop(self.ready)
+                    g, self.adjoint[i] = self.adjoint[i], None
+                node, grads = self.order[i], ()
+                if g is not None:
+                    if isinstance(node, Tensor):
+                        node.grad = g.copy() if node.grad is None else node.grad + g
+                    else:
+                        grads = node.vjp(g)
+                        node.parents, node.vjp = (), None  # frees what the vjp read
+                del g
+                with cond:  # a slot that the vjp gave nothing still delivers
+                    for target, pg in zip_longest(self.targets[i] or (), grads):
+                        if target is not None:
+                            self._deliver(*target, pg)
+                    grads = pg = None  # a waiting thread pins no contribution that was summed
+                    self.left -= 1
+                    if len(self.ready) > 1 or not self.left:  # more than this thread takes next
+                        cond.notify()
+        except BaseException as exc:  # stops both threads; the caller re-raises it
+            with cond:
+                if self.error is None:
+                    self.error = exc
+                cond.notify()
+
+    def _deliver(self, j: int, rank: int, g: np.ndarray | None) -> None:
+        """Edge `rank` of node `j` gives `g`; called under the lock."""
+        if rank != self.folded[j]:
+            self.early[j, rank] = g
+            return
+        acc = self.adjoint[j]
+        while True:
+            if g is not None:
+                acc = g if acc is None else acc + g
+            rank += 1
+            if (j, rank) not in self.early:
+                break
+            g = self.early.pop((j, rank))
+        self.adjoint[j], self.folded[j] = acc, rank
+        if rank == self.edges[j]:
+            heapq.heappush(self.ready, j)
 
 
 def _forget_worker() -> None:

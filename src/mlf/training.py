@@ -96,7 +96,7 @@ def train(
     step_losses: list[float] = []
     best_val = float("inf")
     best_epoch = -1
-    best_state = model.state_arrays()
+    best_state = None  # with no epoch run, the weights stay as they are
     has_val = sample_index(ds, split.val, cfg)[0].size > 0
     step = 0
 
@@ -141,7 +141,8 @@ def train(
         if cfg.max_steps and step >= cfg.max_steps:
             break
 
-    model.load_state_arrays(best_state)
+    if best_state is not None:
+        model.load_state_arrays(best_state)
     return TrainResult(records, step_losses, best_epoch, best_val, step)
 
 

@@ -1,6 +1,7 @@
 """Primitive-level checks for the autodiff engine: hand examples, finite
 differences over many random seeds, and a sum-over-paths reference for DAGs."""
 
+import itertools
 import threading
 import time
 import weakref
@@ -354,6 +355,104 @@ def test_an_exception_of_either_half_reaches_the_caller_once_both_halves_are_don
     with no_grad(), pytest.raises(ArithmeticError, match=f"{raising} half"):
         in_halves(half, Tensor(np.arange(4.0)[:, None]), 1)
     assert done == ([0.0] if raising == "worker" else [2.0])
+
+
+# -- backward on two threads ----------------------------------------------------
+
+
+def read_twice(rng):
+    a = leaf(rng, 3, 4)
+    h = tanh(a)
+    return sum_all(add(mul(h, h), mul(a, a))), [a]
+
+
+def shared_weight(rng):
+    """One weight read by several matmuls, whose gradients sum in a fixed order."""
+    w, xs = leaf(rng, 4, 5), [leaf(rng, 6, 3, 4) for _ in range(4)]
+    return sum_all(average([tanh(matmul(x, w)) for x in xs])), [w, *xs]
+
+
+def no_gradient(rng):
+    """`stop` gives its parent nothing, so `h` gets no gradient and `x` none by that path."""
+    x, y = leaf(rng, 5), leaf(rng, 5)
+    h = tanh(x)
+    stop = autograd._node(h.data.copy(), (h,), lambda g: (None,), "stop")
+    return sum_all(add(mul(stop, y), y)), [x, y, h]
+
+
+def random_dag(rng):
+    leaves = {name: Tensor(rng.standard_normal(3), requires_grad=True) for name in ("x", "y", "z")}
+    out, _ = _random_dag(rng, leaves, n_ops=int(rng.integers(6, 14)))
+    return sum_all(out), list(leaves.values())
+
+
+@pytest.mark.parametrize("build", [read_twice, shared_weight, no_gradient, random_dag])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_two_thread_backward_equals_the_sequential_walk_on_hand_graphs(monkeypatch, worker_calls, build, seed):
+    """Each leaf's gradient keeps its bits, also when it adds to the gradient
+    of an earlier graph. An entry that got no gradient keeps its vjp."""
+    runs = []
+    for floor in (autograd.BACKWARD_FLOOR, 0):
+        monkeypatch.setattr(autograd, "BACKWARD_FLOOR", floor)
+        rng = np.random.default_rng(seed)
+        grads = []
+        for _ in range(2):  # the second graph adds to the first one's leaf gradients
+            loss, leaves = build(rng)
+            backward(loss)
+            grads.append([None if t.grad is None else t.grad.tobytes() for t in leaves])
+        runs.append(grads)
+        assert bool(worker_calls) == (floor == 0)
+        if build is no_gradient:
+            assert leaves[0].grad is None and leaves[2]._fn.vjp is not None
+    assert runs[0] == runs[1]
+
+
+def test_an_adjoint_is_folded_in_the_sequential_order_whatever_order_its_edges_deliver():
+    """`x` is read by four slots of one concat. Delivered in any order, the
+    four contributions are summed as ((c0 + c1) + c2) + c3, and `x` becomes
+    ready only with the last; an early one is held only until its turn."""
+    x = Tensor(np.zeros(2), requires_grad=True)
+    parts = [np.array([1e16, 0.5]), np.array([1.0, 1e-17]), np.array([-1e16, 0.25]), np.array([1.0, 3.0])]
+    expected = ((parts[0] + parts[1]) + parts[2]) + parts[3]
+    for order in itertools.permutations(range(4)):
+        entry = concat([x, x, x, x])._fn
+        drain = autograd._Drain([entry, x], np.ones(8))
+        assert drain.targets[0] == ((1, 0), (1, 1), (1, 2), (1, 3))
+        drain.ready.clear()
+        for n, rank in enumerate(order):
+            drain._deliver(1, rank, parts[rank])
+            assert drain.ready == ([1] if n == 3 else [])
+        assert drain.adjoint[1].tobytes() == expected.tobytes() and not drain.early, order
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_a_vjp_that_raises_on_either_thread_reaches_the_caller_once_both_stop(monkeypatch, worker_calls, raising):
+    """Two branches run at once, one on each thread; the one on the `raising`
+    thread raises, and the other finishes its vjp before the caller re-raises.
+    Nothing runs after, and the worker still serves `in_halves`."""
+    monkeypatch.setattr(autograd, "BACKWARD_FLOOR", 0)
+    caller, both_running, done = threading.get_ident(), threading.Barrier(2, timeout=10), []
+    x = Tensor([1.0, 2.0], requires_grad=True)
+
+    def branch(name):
+        def vjp(g):
+            both_running.wait()
+            if (threading.get_ident() == caller) == (raising == "caller"):
+                raise ArithmeticError(f"{raising} vjp")
+            time.sleep(0.05)
+            done.append(name)
+            return (g,)
+
+        return autograd._node(x.data.copy(), (x,), vjp, name)
+
+    with pytest.raises(ArithmeticError, match=f"^{raising} vjp$") as info:
+        backward(sum_all(add(branch("a"), branch("b"))))
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    assert len(done) == 1 and x.grad is None and worker_calls == [1]
+    monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
+    with no_grad():
+        out = in_halves(lambda t: mul(t, Tensor(2.0)), Tensor(np.arange(4.0)[:, None]), 1)
+    assert worker_calls == [1, 1] and np.array_equal(out.data, 2.0 * np.arange(4.0)[:, None])
 
 
 # Each primitive that takes `consume`, as f(operand, param, consume): the

@@ -332,6 +332,49 @@ def test_a_forked_child_runs_a_split_forward(monkeypatch, worker_calls):
     assert process.exitcode == 0
 
 
+def one_step_gradients(cfg, batch):
+    """Each parameter's gradient, by name, after one training backward at `batch`."""
+    model = build_model(cfg, seed=0)
+    bundle = model.forward(toy_windows(batch, 0, cfg), training=True)
+    target = np.random.default_rng(1).standard_normal((batch, cfg.horizon))
+    backward(mlf_loss(bundle, target).total)
+    return {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("name, batch, drains", [("desk", 64, False), ("paper", 8, True)])
+def test_only_a_large_training_graph_starts_the_backward_worker(monkeypatch, worker_calls, name, batch, drains):
+    """The desk step at batch 64 records 0.92M output elements, below the
+    floor; the paper step at batch 8 records 2.87M."""
+    cfg = regime_config() if name == "desk" else PAPER
+    elements = []
+    node = autograd._node
+    monkeypatch.setattr(autograd, "_node", lambda *args: elements.append(args[0].size) or node(*args))
+    one_step_gradients(cfg, batch)
+    assert (sum(elements) >= autograd.BACKWARD_FLOOR) == drains
+    assert worker_calls == ([1] if drains else [])
+
+
+def test_a_forked_child_runs_a_two_thread_backward(monkeypatch, worker_calls):
+    """As a forked child runs a split forward: it starts its own worker."""
+    monkeypatch.setattr(autograd, "BACKWARD_FLOOR", 0)
+    expected = one_step_gradients(TOY, 8)
+    assert worker_calls
+
+    def child():
+        got = one_step_gradients(TOY, 8)
+        assert all(got[name].tobytes() == grad.tobytes() for name, grad in expected.items())
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    with warnings.catch_warnings():  # Python 3.12+ warns when a process with threads forks, as this test must
+        warnings.simplefilter("ignore", DeprecationWarning)
+        process.start()
+    process.join(timeout=60)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=10)
+    assert process.exitcode == 0
+
+
 # -- ablation switches -------------------------------------------------------------
 
 

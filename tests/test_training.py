@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mlf import autograd, cli
+from mlf.autograd import backward
 from mlf.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from mlf.data import DataError, SeriesDataset, SplitRanges, load_csv, split_dataset, standardize
 from mlf.metrics import MetricError
-from mlf.model import ABLATION_FLAGS, MlfConfig, MlfModel, apply_ablation, build_model
+from mlf.model import ABLATION_FLAGS, MlfConfig, MlfModel, apply_ablation, build_model, mlf_loss
 from mlf.synth import linear_trend, regime_switching, write_csv
 from mlf.training import DivergenceError, batches, evaluate, train, sample_index
 from mlf.data import gather_batch
@@ -131,6 +132,19 @@ def test_a_split_without_validation_windows_keeps_the_latest_epoch(tiny_config, 
     assert result.best_epoch == 3 and np.isnan(result.best_val_loss)
     for name, value in model.state_arrays().items():
         assert np.array_equal(value, states[-1][name]), name
+
+
+def test_no_epoch_leaves_every_weight_bit_identical(tiny_config, tiny_dataset):
+    from dataclasses import replace
+
+    ds, split = tiny_dataset
+    model = build_model(replace(tiny_config, epochs=0), seed=0)
+    before = model.state_arrays()
+    result = train(model, ds, split, seed=0)
+    assert (result.records, result.step_losses, result.best_epoch, result.steps) == ([], [], -1, 0)
+    after = model.state_arrays()
+    assert after.keys() == before.keys()
+    assert [name for name in before if after[name].tobytes() != before[name].tobytes()] == []
 
 
 def test_non_finite_validation_predictions_stop_training(tiny_config, tiny_dataset):
@@ -341,6 +355,40 @@ def test_a_batch_run_in_halves_equals_a_taped_forward(monkeypatch, worker_calls,
     monkeypatch.setattr(autograd, "SPLIT_FLOOR", 0)
     assert_evaluate_equals_a_taped_forward(model, ds, split, monkeypatch, collect)
     assert worker_calls
+
+
+def first_batch_gradients(cfg, ds, split):
+    """Each parameter's gradient after one backward on the first training batch of a fresh model."""
+    model = build_model(cfg, seed=0)
+    _, windows, targets = next(batches(ds, cfg, *sample_index(ds, split.train, cfg)))
+    loss = mlf_loss(model.forward(windows, training=True), targets, use_reconstruction=cfg.use_reconstruction_loss)
+    backward(loss.total)
+    return {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS], ids=["base", *(f"wo_{f}" for f in ABLATION_FLAGS)])
+@pytest.mark.parametrize("size", ["desk", "mid"])
+def test_a_two_thread_backward_equals_the_sequential_walk(monkeypatch, worker_calls, size, flag):
+    """With the floor at 0 every backward drains on two threads. The
+    gradients, the step losses and the weights after Adam keep their bits."""
+    cfg = regime_config(max_steps=3) if size == "desk" else MID_CONFIG
+    cfg = cfg if flag is None else apply_ablation(cfg, flag)
+    raw = regime_dataset(n_steps=600)
+    split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
+    ds = standardize(raw, split)
+    runs = []
+    for floor in (autograd.BACKWARD_FLOOR, 0):
+        monkeypatch.setattr(autograd, "BACKWARD_FLOOR", floor)
+        grads = first_batch_gradients(cfg, ds, split)
+        model = build_model(cfg, seed=0)
+        result = train(model, ds, split, seed=0)
+        runs.append((grads, result.step_losses, model.state_arrays()))
+        assert bool(worker_calls) == (floor == 0)
+    (grads, losses, state), (grads2, losses2, state2) = runs
+    assert grads.keys() == grads2.keys() and all(g is not None for g in grads.values())
+    assert [name for name in grads if grads[name].tobytes() != grads2[name].tobytes()] == []
+    assert losses == losses2 and len(losses) == 3
+    assert [name for name in state if state[name].tobytes() != state2[name].tobytes()] == []
 
 
 def test_inference_leaves_a_restored_checkpoint_and_its_inputs_unchanged(tiny_config, tiny_dataset, tmp_path):

@@ -50,7 +50,13 @@ mean and LWI weight mean of `evaluate` with attention collected, run by the
 trained weights at batch 128, where the encoder blocks, squeeze decoders and
 LWI features split each batch in two halves (`autograd.in_halves`). The
 attention mean is read through `EncoderBlock.scores` on the whole batch,
-while the blocks' outputs split. At the training batch of 32 nothing splits.
+while the blocks' outputs split. At the training batch of 32 no forward
+splits, but every backward of the paper cases runs on two threads: the one
+behind `gradients` and each training step behind the trained weights and
+losses. Every desk backward runs on the caller alone, below
+`autograd.BACKWARD_FLOOR`. A case whose backward passes do not all run as
+expected is an error, so a tree without the two-thread backward compares by
+the line its own `tools/parity.py` prints.
 
 `validation_loss` digests the normalized MSE that `evaluate` reports on the
 validation split after training, the number `train` selects its epoch by. The
@@ -77,7 +83,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from mlf import cli, training  # noqa: E402
+from mlf import autograd, cli, training  # noqa: E402
 from mlf.autograd import backward  # noqa: E402
 from mlf.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from mlf.data import SeriesDataset, split_dataset, standardize  # noqa: E402
@@ -89,13 +95,19 @@ DESK = replace(MlfConfig.from_dict(EXPERIMENT["model"]), epochs=3, max_steps=40)
 PAPER = MlfConfig(period_lengths=(96, 192, 336), horizon=24, batch_size=32, epochs=2, max_steps=3)
 
 # Name -> (config, data, ablation flags run as `w/o <flag>` variants besides
-# base, and the batch of a second `evaluate` or None).
+# base, the batch of a second `evaluate` or None, and whether every backward
+# runs on two threads).
 CASES = {
     "desk": (DESK, lambda: generate(**{**EXPERIMENT["dataset"]["synthetic"], "n_steps": 1500}),
-             ("lwi", "irf", "map", "ma", "reconstruction_loss"), None),
-    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",), 128),
+             ("lwi", "irf", "map", "ma", "reconstruction_loss"), None, False),
+    "paper": (PAPER, lambda: seasonal_multichannel(1000, 7, seed=7), ("lwi",), 128, True),
 }
 SEED = 3
+
+# One item for each backward that runs on two threads.
+DRAINS: list = []
+_on_two_threads = autograd._Drain.on_two_threads
+autograd._Drain.on_two_threads = lambda drain: DRAINS.append(1) or _on_two_threads(drain)
 
 
 def digest(value) -> str:
@@ -123,9 +135,11 @@ def first_batch_gradients(cfg: MlfConfig, ds: SeriesDataset, split) -> bytes:
     return b"".join(name.encode() + p.grad.tobytes() for name, p in sorted(model.params.items()))
 
 
-def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | None) -> dict[str, str]:
+def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | None,
+             two_threads: bool) -> dict[str, str]:
     split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = standardize(raw, split)
+    drains_before = len(DRAINS)
     gradients = first_batch_gradients(cfg, ds, split)
     model = build_model(cfg, seed=SEED)
     result = training.train(model, ds, split, seed=SEED)
@@ -152,6 +166,10 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | 
     restored_ev = training.evaluate(restored, ds, split, "test")
     more = training.train(restored, ds, split, seed=SEED)
     state = restored.state_arrays()
+    passes, drained = 1 + result.steps + more.steps, len(DRAINS) - drains_before
+    if drained != (passes if two_threads else 0):
+        raise SystemExit(f"{drained} of {passes} backward passes ran on two threads, expected "
+                         f"{'all' if two_threads else 'none'}")
     digests = {
         "gradients": digest(gradients),
         "step_losses": digest(result.step_losses),
@@ -182,13 +200,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     line = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (cfg, make_data, flags, serve_batch) in CASES.items():
+        for name, (cfg, make_data, flags, serve_batch, two_threads) in CASES.items():
             raw = make_data()
             variants = [("base", cfg)] + [(f"w/o {flag}", apply_ablation(cfg, flag)) for flag in flags]
             for variant, variant_cfg in variants:
                 work = Path(tmp) / f"{name}-{variant.replace('/', '')}"
                 work.mkdir()
-                for key, value in run_case(variant_cfg, raw, work, serve_batch).items():
+                for key, value in run_case(variant_cfg, raw, work, serve_batch, two_threads).items():
                     line[f"{name}/{variant}/{key}"] = value
     if args.against is None:
         print(json.dumps(line, sort_keys=True))
