@@ -39,15 +39,17 @@ would clip the slice), and backward refuses a non-scalar loss, a loss that
 needs no gradient and a graph it has already walked.
 
 Two threads run where the bits cannot move: the caller and one persistent
-worker thread, which runs in a copy of the caller's context and opens no
-span. `backward` runs every vjp on the caller while the graph's recorded
-outputs hold fewer than BACKWARD_FLOOR (2**21) elements in all: the desk
-config at batch 64 records 0.92M, and its steps are bound by Python. From
-the floor up (the paper config at batch 8 records 2.87M, at batch 32 10.1M)
-both threads take the entries whose consumers have all run, the earliest in
-the sequential walk's order first. Each adjoint is still the sum of its
-contributions folded left to right in that walk's order, by consumer and then
-by parent slot, so every gradient keeps its bits. A vjp that raises on either
+worker thread, made at import and started on first use. `_on_both` is the one
+way onto it: it runs one function on the worker, in a copy of the caller's
+context, and one on the caller, and the worker opens no span. `backward` runs
+every vjp on the caller while the graph's recorded outputs hold fewer than
+BACKWARD_FLOOR (2**21) elements in all: the desk config at batch 64 records
+0.92M, and its steps are bound by Python. From the floor up (the paper config
+at batch 8 records 2.87M, at batch 32 10.1M) both threads take the entries
+whose consumers have all run, the earliest in the sequential walk's order
+first. Each node keeps one slot per consumer edge, in that walk's order by
+consumer and then by parent slot, and its adjoint is the sum of its slots
+left to right, so every gradient keeps its bits. A vjp that raises on either
 thread stops both after their current vjp, and the caller re-raises it.
 
 `in_halves` runs a row-independent function of one Tensor to one Tensor over
@@ -526,8 +528,10 @@ def backward(loss: Tensor) -> None:
     fewer than BACKWARD_FLOOR elements in all, one loop on the caller runs the
     entries in that order. From the floor up, the caller and the worker
     thread both take entries whose consumers have all run, the earliest in
-    the sequential order first (`_Drain`), and fold each adjoint in the same
-    order. So the gradients are the same bits either way.
+    the sequential order first (`_Drain`, through `_on_both`). Each node's
+    contributions wait in one slot per consumer edge, in that same order, and
+    are summed left to right once all have come. So the gradients are the same
+    bits either way.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -595,39 +599,55 @@ SPLIT_FLOOR = 2**18
 # (2.87M) or 32 (10.1M) is bound by numpy, which releases the GIL.
 BACKWARD_FLOOR = 2**21
 
-_worker_pool: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+_pool: ThreadPoolExecutor  # the one worker thread's; `_on_both` is the only way onto it
 
 
-def _worker() -> ThreadPoolExecutor:
-    """The one persistent worker thread, started on first use; `backward` and
-    `in_halves` share it."""
-    global _worker_pool
-    with _worker_lock:
-        if _worker_pool is None:
-            _worker_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlf-worker")
-        return _worker_pool
+def _fresh_pool() -> None:
+    """Make `_pool`: at import, and again in a forked child, whose parent's
+    worker thread is gone, so `submit` to the parent's executor would wait
+    forever. An executor starts its thread on the first submit, so importing
+    mlf starts none."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlf-worker")
+
+
+_fresh_pool()
+if hasattr(os, "register_at_fork"):  # POSIX only; without fork there is no child to mend
+    os.register_at_fork(after_in_child=_fresh_pool)
+
+
+def _on_both(here, there) -> tuple:
+    """(here(), there()), with `there` run on the worker thread in a copy of the
+    caller's context, so it sees the caller's grad mode and `np.errstate`, and
+    `here` on the caller. If `here` raises, `there` is waited for first; an
+    exception of `there` re-raises here."""
+    future = _pool.submit(contextvars.copy_context().run, there)
+    try:
+        mine = here()
+    finally:
+        future.exception()  # waits for the worker
+    return mine, future.result()
 
 
 class _Drain:
     """One backward's entries, run by the caller and the worker thread.
 
-    `order` is the sequential order, the loss first. An entry or leaf becomes
-    ready once every edge from its consumers has delivered: a gradient, or
-    nothing when the consumer got none or gave none to that slot. Each thread
-    takes the earliest ready node in that order, runs its vjp (or adds to the
-    leaf's `grad`) outside the lock, and delivers to its parents under the
-    lock. A delivery is folded into the parent's adjoint as soon as every
-    earlier edge of that parent has delivered, so the sum is formed in the
-    sequential walk's order, and only an early arrival waits in `early`.
+    `order` is the sequential order, the loss first. Each node keeps one slot
+    per consumer edge, ordered by consumer position in `order` and then by
+    parent slot. A delivery fills its slot, with a gradient or with nothing
+    when the consumer got none or gave none to that slot, and the node becomes
+    ready once all its slots are filled. Each thread pops the earliest ready
+    node in that order, sums its slots left to right (the sequential walk's
+    order), runs its vjp (or adds to the leaf's `grad`) outside the lock, and
+    fills its parents' slots under the lock.
     """
 
     def __init__(self, order: list, seed: np.ndarray):
         self.order = order
         index = {id(node): i for i, node in enumerate(order)}
-        self.edges = [0] * len(order)  # the consumer edges of each node
-        # For each slot of each entry, (parent index, the edge's rank among the
-        # parent's edges) or None for a parent that needs no gradient.
+        self.slots: list[list | None] = [[] for _ in order]
+        # For each slot of each entry, (parent index, the parent's slot) or None
+        # for a parent that needs no gradient.
         self.targets: list[tuple | None] = [None] * len(order)
         for i, node in enumerate(order):
             if isinstance(node, _Fn):
@@ -635,14 +655,13 @@ class _Drain:
                 for parent in node.parents:
                     if parent.requires_grad:
                         j = index[id(parent)]
-                        targets.append((j, self.edges[j]))
-                        self.edges[j] += 1
+                        targets.append((j, len(self.slots[j])))
+                        self.slots[j].append(None)
                     else:
                         targets.append(None)
                 self.targets[i] = tuple(targets)
-        self.adjoint: list[np.ndarray | None] = [seed] + [None] * (len(order) - 1)
-        self.folded = [0] * len(order)  # edges folded into each adjoint so far
-        self.early: dict[tuple[int, int], np.ndarray | None] = {}  # by (node, edge rank)
+        self.waiting = [len(slots) for slots in self.slots]  # unfilled slots of each node
+        self.slots[0] = [seed]  # the loss has no consumer: its one slot holds the seed
         self.ready = [0]  # a heap of the indices of ready nodes
         self.left = len(order)  # nodes not yet run
         self.error: BaseException | None = None
@@ -650,9 +669,7 @@ class _Drain:
 
     def on_two_threads(self) -> None:
         """Drain on the caller and the worker; re-raise the first error once both stopped."""
-        future = _worker().submit(contextvars.copy_context().run, self.drain)
-        self.drain()
-        future.result()
+        _on_both(self.drain, self.drain)
         if self.error is not None:
             raise self.error
 
@@ -667,8 +684,12 @@ class _Drain:
                     if not self.left or self.error is not None:
                         return
                     i = heapq.heappop(self.ready)
-                    g, self.adjoint[i] = self.adjoint[i], None
-                node, grads = self.order[i], ()
+                    parts, self.slots[i] = self.slots[i], None
+                node, grads, g = self.order[i], (), None
+                for part in parts:
+                    if part is not None:
+                        g = part if g is None else g + part
+                parts = part = None  # frees each contribution that was summed
                 if g is not None:
                     if isinstance(node, Tensor):
                         node.grad = g.copy() if node.grad is None else node.grad + g
@@ -676,11 +697,15 @@ class _Drain:
                         grads = node.vjp(g)
                         node.parents, node.vjp = (), None  # frees what the vjp read
                 del g
-                with cond:  # a slot that the vjp gave nothing still delivers
+                with cond:  # a slot that the vjp gave nothing is still filled
                     for target, pg in zip_longest(self.targets[i] or (), grads):
                         if target is not None:
-                            self._deliver(*target, pg)
-                    grads = pg = None  # a waiting thread pins no contribution that was summed
+                            j, slot = target
+                            self.slots[j][slot] = pg
+                            self.waiting[j] -= 1
+                            if not self.waiting[j]:
+                                heapq.heappush(self.ready, j)
+                    grads = pg = None  # a waiting thread pins no contribution
                     self.left -= 1
                     if len(self.ready) > 1 or not self.left:  # more than this thread takes next
                         cond.notify()
@@ -689,34 +714,6 @@ class _Drain:
                 if self.error is None:
                     self.error = exc
                 cond.notify()
-
-    def _deliver(self, j: int, rank: int, g: np.ndarray | None) -> None:
-        """Edge `rank` of node `j` gives `g`; called under the lock."""
-        if rank != self.folded[j]:
-            self.early[j, rank] = g
-            return
-        acc = self.adjoint[j]
-        while True:
-            if g is not None:
-                acc = g if acc is None else acc + g
-            rank += 1
-            if (j, rank) not in self.early:
-                break
-            g = self.early.pop((j, rank))
-        self.adjoint[j], self.folded[j] = acc, rank
-        if rank == self.edges[j]:
-            heapq.heappush(self.ready, j)
-
-
-def _forget_worker() -> None:
-    """In a forked child the worker's thread is gone, and `submit` to its
-    executor would wait forever: the child starts its own on first use."""
-    global _worker_pool, _worker_lock
-    _worker_pool, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; without fork there is no child to mend
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False) -> Tensor:
@@ -733,18 +730,14 @@ def in_halves(fn, x: Tensor, row_elements: int, *, training: bool = False) -> Te
     at least SPLIT_FLOOR elements; otherwise it returns `fn(x)`.
 
     `fn` returns one Tensor, and the two halves' outputs are joined along
-    its first axis. The worker runs in a copy of the caller's context, so it
-    sees the caller's grad mode and `np.errstate`, and it opens no span of
-    its own. An exception of the worker's half re-raises here; if the
-    caller's half raises, the worker's half is waited for first.
+    its first axis. The second half runs on the worker through `_on_both`,
+    so it sees the caller's grad mode and `np.errstate`. An exception of the
+    worker's half re-raises here; if the caller's half raises, the worker's
+    half is waited for first.
     """
     rows = x.shape[0]
     if training or _GRAD_ENABLED.get() or rows < 2 or rows * row_elements < SPLIT_FLOOR:
         return fn(x)
     half = rows // 2
-    future = _worker().submit(contextvars.copy_context().run, fn, Tensor(x.data[half:]))
-    try:
-        first = fn(Tensor(x.data[:half]))
-    finally:
-        future.exception()  # waits for the worker's half
-    return Tensor(np.concatenate([first.data, future.result().data]))
+    first, second = _on_both(lambda: fn(Tensor(x.data[:half])), lambda: fn(Tensor(x.data[half:])))
+    return Tensor(np.concatenate([first.data, second.data]))

@@ -11,7 +11,7 @@ from operator import le
 import numpy as np
 
 from . import synth
-from .autograd import ShapeError, Tensor, average, mse, no_grad
+from .autograd import ShapeError, Tensor, average, concat, mse, no_grad
 from .encoder import EncoderBlock, SppHead, irf_filter
 from .layers import ParamStore
 from .lwi import WeightIntegrator, integrate, integrate_plain
@@ -22,7 +22,7 @@ from .patching import (
     fixed_patch_params,
     make_patches,
 )
-from .squeeze import PatchEncoder, PeriodDecoder, concat_periods, reconstruction_loss, split_periods
+from .squeeze import PatchEncoder, PeriodDecoder, reconstruction_loss, split_periods
 
 
 class ConfigError(ValueError):
@@ -402,7 +402,7 @@ class MlfModel:
                     reconstructions.append(self.decoders[s](compact))
             del patches, embedded, compact  # the lists hold what later stages read
 
-            tokens = concat_periods(squeezed)  # (B, D, N_tok)
+            tokens = concat(squeezed)  # (B, D, N_tok)
             block_forecasts: list[list[Tensor]] = []
             attention_scores: list[np.ndarray] | None = [] if collect_attention else None
 
@@ -415,7 +415,7 @@ class MlfModel:
                 block_forecasts.append(forecasts)
                 if e == cfg.n_blocks - 1:
                     break  # no later block reads the filtered tokens
-                tokens = concat_periods(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
+                tokens = concat(irf_filter(period_blocks, epsilons, cfg.d_k)) if cfg.use_irf else z
 
             period_forecasts = [average(per_block) for per_block in zip(*block_forecasts)]  # mean over blocks
             att = None

@@ -9,7 +9,7 @@ surviving tokens to keep the period's information.
 
 from __future__ import annotations
 
-from .autograd import Tensor, average, concat, in_halves, mse, narrow, relu
+from .autograd import Tensor, average, in_halves, mse, narrow, relu
 from .layers import ChannelLinear, Linear, ParamStore
 
 
@@ -60,15 +60,9 @@ class PeriodDecoder:
         return self.len_out(relu(self.len_in(h), consume=True))
 
 
-def concat_periods(squeezed: list[Tensor]) -> Tensor:
-    """Join per-period token blocks, shortest period first, along the token axis."""
-    if len(squeezed) == 1:
-        return squeezed[0]
-    return concat(squeezed)
-
-
 def split_periods(tokens: Tensor, token_ranges: list[tuple[int, int]]) -> list[Tensor]:
-    """Inverse of concat_periods: cut the token axis at each period's [start, end)."""
+    """Inverse of `concat` over the per-period token blocks: cut the token axis
+    at each period's [start, end)."""
     return [narrow(tokens, -1, a, b - a) for a, b in token_ranges]
 
 

@@ -65,14 +65,16 @@ def regime_config(**changes):
 
 @pytest.fixture
 def worker_calls(monkeypatch):
-    """Counts the batches that `autograd.in_halves` hands its worker thread while the test runs."""
+    """Counts the calls of `autograd._on_both`, the one way onto the worker
+    thread, while the test runs: one per batch that `in_halves` splits and one
+    per backward drained on two threads."""
     from mlf import autograd
 
-    calls, worker = [], autograd._worker
+    calls, on_both = [], autograd._on_both
 
-    def counted():
+    def counted(here, there):
         calls.append(1)
-        return worker()
+        return on_both(here, there)
 
-    monkeypatch.setattr(autograd, "_worker", counted)
+    monkeypatch.setattr(autograd, "_on_both", counted)
     return calls

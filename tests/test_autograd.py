@@ -1,10 +1,16 @@
 """Primitive-level checks for the autodiff engine: hand examples, finite
 differences over many random seeds, and a sum-over-paths reference for DAGs."""
 
+import heapq
 import itertools
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,22 +413,28 @@ def test_a_two_thread_backward_equals_the_sequential_walk_on_hand_graphs(monkeyp
     assert runs[0] == runs[1]
 
 
-def test_an_adjoint_is_folded_in_the_sequential_order_whatever_order_its_edges_deliver():
-    """`x` is read by four slots of one concat. Delivered in any order, the
-    four contributions are summed as ((c0 + c1) + c2) + c3, and `x` becomes
-    ready only with the last; an early one is held only until its turn."""
-    x = Tensor(np.zeros(2), requires_grad=True)
-    parts = [np.array([1e16, 0.5]), np.array([1.0, 1e-17]), np.array([-1e16, 0.25]), np.array([1.0, 3.0])]
+def test_an_adjoint_is_folded_in_the_sequential_order_whatever_order_its_edges_deliver(monkeypatch):
+    """`x` is read by four slots of one concat, whose vjp fills x's four slots
+    in each of the 24 orders. `x` becomes ready only with the fourth, and its
+    gradient is ((c0 + c1) + c2) + c3 bit for bit, which other orders of the
+    sum miss with these parts."""
+    parts = [np.array([1e16]), np.array([1.0]), np.array([-1e16]), np.array([1.0])]
     expected = ((parts[0] + parts[1]) + parts[2]) + parts[3]
+    pushed = []
+    monkeypatch.setattr(autograd, "heapq", SimpleNamespace(
+        heappop=heapq.heappop,
+        heappush=lambda heap, j: pushed.append((j, [s is not None for s in drain.slots[j]])) or heapq.heappush(heap, j)))
     for order in itertools.permutations(range(4)):
+        x = Tensor(np.zeros(1), requires_grad=True)
         entry = concat([x, x, x, x])._fn
-        drain = autograd._Drain([entry, x], np.ones(8))
-        assert drain.targets[0] == ((1, 0), (1, 1), (1, 2), (1, 3))
-        drain.ready.clear()
-        for n, rank in enumerate(order):
-            drain._deliver(1, rank, parts[rank])
-            assert drain.ready == ([1] if n == 3 else [])
-        assert drain.adjoint[1].tobytes() == expected.tobytes() and not drain.early, order
+        drain = autograd._Drain([entry, x], np.ones(4))
+        assert drain.targets[0] == ((1, 0), (1, 1), (1, 2), (1, 3)) and drain.waiting == [0, 4]
+        drain.targets[0] = tuple((1, slot) for slot in order)  # fills slot order[0] first
+        entry.vjp = lambda g: tuple(parts[slot] for slot in order)
+        pushed.clear()
+        drain.drain()  # on the caller alone
+        assert pushed == [(1, [True] * 4)] and drain.error is None, order
+        assert x.grad.tobytes() == expected.tobytes() != sum(parts[::-1]).tobytes(), order
 
 
 @pytest.mark.parametrize("raising", ["worker", "caller"])
@@ -453,6 +465,39 @@ def test_a_vjp_that_raises_on_either_thread_reaches_the_caller_once_both_stop(mo
     with no_grad():
         out = in_halves(lambda t: mul(t, Tensor(2.0)), Tensor(np.arange(4.0)[:, None]), 1)
     assert worker_calls == [1, 1] and np.array_equal(out.data, 2.0 * np.arange(4.0)[:, None])
+
+
+# Run in a fresh interpreter, whose threads are the ones the script starts.
+FIRST_USE = """
+import threading
+
+before = threading.enumerate()
+import numpy as np
+import mlf
+from mlf import autograd
+
+assert threading.enumerate() == before, threading.enumerate()
+autograd.SPLIT_FLOOR = autograd.BACKWARD_FLOOR = 0
+cfg = mlf.MlfConfig(period_lengths=(4, 8), horizon=2, n_patches=4, squeeze_factor=2, d_model=4,
+                    n_heads=2, n_blocks=2, d_ff=8, conv_filters=4, batch_size=8)
+model, rng = mlf.build_model(cfg, seed=0), np.random.default_rng(0)
+windows = [rng.standard_normal((8, n)) for n in cfg.period_lengths]
+model.forward(windows, training=False)
+started = [t.name for t in threading.enumerate() if t not in before]
+assert len(started) == 1 and started[0].startswith("mlf-worker"), started
+calls, on_both = [], autograd._on_both
+autograd._on_both = lambda here, there: calls.append(1) or on_both(here, there)
+mlf.backward(mlf.mlf_loss(model.forward(windows, training=True), np.zeros((8, 2))).total)
+assert calls == [1] and [t.name for t in threading.enumerate() if t not in before] == started
+"""
+
+
+def test_the_worker_thread_starts_on_first_use_and_only_once():
+    """Importing mlf starts no thread, the first split forward starts one
+    `mlf-worker` thread, and a two-thread backward after it starts no other."""
+    env = dict(os.environ, PYTHONPATH=str(Path(autograd.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FIRST_USE], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # Each primitive that takes `consume`, as f(operand, param, consume): the

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from mlf.autograd import Tensor, backward
+from mlf.autograd import Tensor, backward, concat
 from mlf.layers import ParamStore
 from mlf.optim import Adam
 from mlf.squeeze import (
     PatchEncoder,
     PeriodDecoder,
-    concat_periods,
     reconstruction_loss,
     split_periods,
 )
@@ -53,7 +52,7 @@ def test_shared_encoder_param_count_independent_of_periods():
 def test_concat_and_split_are_inverse():
     rng = np.random.default_rng(2)
     blocks = [Tensor(rng.standard_normal((2, 3, 4))) for _ in range(6)]
-    tokens = concat_periods(blocks)
+    tokens = concat(blocks)
     assert tokens.shape == (2, 3, 24)
     back = split_periods(tokens, [(4 * s, 4 * s + 4) for s in range(6)])
     for a, b in zip(back, blocks):
@@ -64,12 +63,7 @@ def test_concat_token_counts_by_squeeze_factor():
     # S=6 periods at 64 patches: 192/96/48 tokens for r=2/4/8.
     for r, expected in [(2, 192), (4, 96), (8, 48)]:
         blocks = [Tensor(np.zeros((1, 2, 64 // r))) for _ in range(6)]
-        assert concat_periods(blocks).shape[-1] == expected
-
-
-def test_single_period_concat_is_identity():
-    x = Tensor(np.random.default_rng(3).standard_normal((2, 3, 5)))
-    assert concat_periods([x]) is x
+        assert concat(blocks).shape[-1] == expected
 
 
 def test_decoder_output_matches_raw_patch_shape():

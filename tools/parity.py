@@ -54,9 +54,12 @@ while the blocks' outputs split. At the training batch of 32 no forward
 splits, but every backward of the paper cases runs on two threads: the one
 behind `gradients` and each training step behind the trained weights and
 losses. Every desk backward runs on the caller alone, below
-`autograd.BACKWARD_FLOOR`. A case whose backward passes do not all run as
-expected is an error, so a tree without the two-thread backward compares by
-the line its own `tools/parity.py` prints.
+`autograd.BACKWARD_FLOOR`. Both are counted at `autograd._on_both`, the one
+way onto the worker thread. A case is an error unless every backward runs as
+expected, its batch-128 `evaluate` splits at least once, and no other forward
+splits: no training or validation batch, no forecast and no desk forward. So
+a tree without `_on_both` compares by the line its own `tools/parity.py`
+prints.
 
 `validation_loss` digests the normalized MSE that `evaluate` reports on the
 validation split after training, the number `train` selects its epoch by. The
@@ -104,10 +107,24 @@ CASES = {
 }
 SEED = 3
 
-# One item for each backward that runs on two threads.
-DRAINS: list = []
-_on_two_threads = autograd._Drain.on_two_threads
-autograd._Drain.on_two_threads = lambda drain: DRAINS.append(1) or _on_two_threads(drain)
+# One item for each call onto the worker thread: "drain" for a backward run on
+# two threads, "split" for a forward span run in two halves.
+CALLS: list[str] = []
+_on_both = autograd._on_both
+
+
+def counted_on_both(here, there):
+    CALLS.append("drain" if isinstance(getattr(here, "__self__", None), autograd._Drain) else "split")
+    return _on_both(here, there)
+
+
+autograd._on_both = counted_on_both
+
+
+def calls_since(start: int) -> tuple[int, int]:
+    """The drains and the splits since CALLS held `start` items."""
+    kinds = CALLS[start:]
+    return kinds.count("drain"), kinds.count("split")
 
 
 def digest(value) -> str:
@@ -139,7 +156,7 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | 
              two_threads: bool) -> dict[str, str]:
     split = split_dataset(raw, "ratio", min_history=max(cfg.period_lengths), horizon=cfg.horizon)
     ds = standardize(raw, split)
-    drains_before = len(DRAINS)
+    start = len(CALLS)
     gradients = first_batch_gradients(cfg, ds, split)
     model = build_model(cfg, seed=SEED)
     result = training.train(model, ds, split, seed=SEED)
@@ -166,10 +183,12 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | 
     restored_ev = training.evaluate(restored, ds, split, "test")
     more = training.train(restored, ds, split, seed=SEED)
     state = restored.state_arrays()
-    passes, drained = 1 + result.steps + more.steps, len(DRAINS) - drains_before
+    passes, (drained, halved) = 1 + result.steps + more.steps, calls_since(start)
     if drained != (passes if two_threads else 0):
         raise SystemExit(f"{drained} of {passes} backward passes ran on two threads, expected "
                          f"{'all' if two_threads else 'none'}")
+    if halved:
+        raise SystemExit(f"{halved} forward spans split in two halves before the serving evaluate, expected none")
     digests = {
         "gradients": digest(gradients),
         "step_losses": digest(result.step_losses),
@@ -188,7 +207,10 @@ def run_case(cfg: MlfConfig, raw: SeriesDataset, work: Path, serve_batch: int | 
     }
     if serve_batch is not None:
         served = MlfModel(replace(cfg, batch_size=serve_batch), state=model.state_arrays())
+        start = len(CALLS)
         wide = training.evaluate(served, ds, split, "test", collect_attention=True)
+        if calls_since(start)[1] == 0:
+            raise SystemExit(f"no forward span split in two halves in the batch-{serve_batch} evaluate")
         parts = [wide.predictions, wide.attention_mean] + ([] if wide.att_mean is None else [wide.att_mean])
         digests[f"evaluate_batch{serve_batch}"] = digest(np.concatenate([a.ravel() for a in parts]))
     return digests
